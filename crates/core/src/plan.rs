@@ -44,9 +44,7 @@ use fepia_optim::{
     certified_level_interval, min_norm_to_level_set_resilient, LevelSetProblem, Norm, OptimError,
     SolverOptions, SolverWorkspace, VecN,
 };
-use fepia_par::{
-    par_map_dynamic_catch_with, par_map_dynamic_with, CatchConfig, ParConfig, TaskError,
-};
+use fepia_par::{par_map_dynamic_with, ParConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -803,17 +801,6 @@ impl AnalysisPlan {
         self.evaluate_verdict_with(origin, &mut ws, policy)
     }
 
-    /// [`Self::evaluate_verdict_budgeted_with`] with a throwaway workspace.
-    pub fn evaluate_verdict_budgeted(
-        &self,
-        origin: &VecN,
-        policy: &ResiliencePolicy,
-        budget: EvalBudget,
-    ) -> PlanVerdict {
-        let mut ws = self.workspace();
-        self.evaluate_verdict_budgeted_with(origin, &mut ws, policy, budget)
-    }
-
     /// One numeric feature's *truncated* verdict: the budget is spent, so
     /// instead of solving, go straight to the certified axis-probe interval
     /// (the boundary-iterate machinery the exhausted-retry path already
@@ -905,49 +892,6 @@ impl AnalysisPlan {
             ));
         }
         combine_bound_outcomes(outcomes)
-    }
-
-    /// Sequential fault-tolerant batch: one verdict per origin, no early
-    /// abort, one shared workspace.
-    pub fn evaluate_batch_verdicts(
-        &self,
-        origins: &[VecN],
-        policy: &ResiliencePolicy,
-    ) -> Vec<PlanVerdict> {
-        let _span = fepia_obs::span!("core.plan.batch_verdicts");
-        let mut ws = self.workspace();
-        origins
-            .iter()
-            .map(|origin| self.evaluate_verdict_with(origin, &mut ws, policy))
-            .collect()
-    }
-
-    /// Parallel fault-tolerant batch over the catching `fepia-par` driver:
-    /// worker panics are isolated per origin, quarantined tasks get one
-    /// bounded re-dispatch, and an origin whose task panics on every attempt
-    /// still yields a verdict ([`FailReason::Panic`]) rather than killing
-    /// the sweep.
-    pub fn evaluate_batch_par_verdicts(
-        &self,
-        origins: &[VecN],
-        cfg: &ParConfig,
-        policy: &ResiliencePolicy,
-    ) -> Vec<PlanVerdict> {
-        let _span = fepia_obs::span!("core.plan.batch_verdicts");
-        let catch = CatchConfig::default();
-        par_map_dynamic_catch_with(origins, cfg, &catch, PlanWorkspace::new, {
-            |ws: &mut PlanWorkspace, _i, origin: &VecN| {
-                self.evaluate_verdict_with(origin, ws, policy)
-            }
-        })
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(TaskError::Panicked { message, .. }) => {
-                PlanVerdict::all_failed(self.features.len(), FailReason::Panic(message))
-            }
-        })
-        .collect()
     }
 
     fn record_verdict(&self, v: PlanVerdict) -> PlanVerdict {
@@ -1243,6 +1187,7 @@ mod tests {
     use crate::feature::Tolerance;
     use crate::impact::{FnImpact, LinearImpact, SumSelected};
     use crate::robustness_radius;
+    use fepia_par::{par_map_dynamic_catch_with, CatchConfig, TaskError};
 
     fn mixed_analysis() -> FepiaAnalysis {
         let pert = Perturbation::continuous("p", VecN::from([1.0, 2.0, 3.0]));
@@ -1351,8 +1296,11 @@ mod tests {
 
         // Zero budget: affine features exact, the numeric feature truncated
         // to a certified interval.
-        let b1 = plan.evaluate_verdict_budgeted(&origin, &policy, EvalBudget::BROWNOUT);
-        let b2 = plan.evaluate_verdict_budgeted(&origin, &policy, EvalBudget::BROWNOUT);
+        let mut ws = plan.workspace();
+        let b1 =
+            plan.evaluate_verdict_budgeted_with(&origin, &mut ws, &policy, EvalBudget::BROWNOUT);
+        let b2 =
+            plan.evaluate_verdict_budgeted_with(&origin, &mut ws, &policy, EvalBudget::BROWNOUT);
         assert_eq!(b1.kind, VerdictKind::Bounded);
         for (full, brown) in exact.radii.iter().zip(&b1.radii).take(2) {
             assert_eq!(
@@ -1392,8 +1340,12 @@ mod tests {
 
         // A budget covering every numeric feature reproduces the full path
         // bitwise.
-        let full =
-            plan.evaluate_verdict_budgeted(&origin, &policy, EvalBudget { numeric_solves: 1 });
+        let full = plan.evaluate_verdict_budgeted_with(
+            &origin,
+            &mut ws,
+            &policy,
+            EvalBudget { numeric_solves: 1 },
+        );
         assert_eq!(full.kind, VerdictKind::Exact);
         assert_eq!(full.metric_hi.to_bits(), exact.metric_hi.to_bits());
     }
@@ -1607,12 +1559,32 @@ mod tests {
         origins[5] = VecN::from([f64::INFINITY, 0.0, 0.0]); // poisoned
         origins[9] = VecN::zeros(2); // wrong dimension
         let policy = ResiliencePolicy::default();
-        let seq = plan.evaluate_batch_verdicts(&origins, &policy);
+        let mut ws = plan.workspace();
+        let seq: Vec<PlanVerdict> = origins
+            .iter()
+            .map(|origin| plan.evaluate_verdict_with(origin, &mut ws, &policy))
+            .collect();
         assert_eq!(seq.len(), origins.len());
         assert_eq!(seq[5].kind, VerdictKind::Failed);
         assert_eq!(seq[9].kind, VerdictKind::Failed);
         assert_eq!(seq[0].kind, VerdictKind::Exact);
-        let par = plan.evaluate_batch_par_verdicts(&origins, &ParConfig::with_threads(3), &policy);
+        let par: Vec<PlanVerdict> = par_map_dynamic_catch_with(
+            &origins,
+            &ParConfig::with_threads(3),
+            &CatchConfig::default(),
+            PlanWorkspace::new,
+            |ws: &mut PlanWorkspace, _i, origin: &VecN| {
+                plan.evaluate_verdict_with(origin, ws, &policy)
+            },
+        )
+        .into_iter()
+        .map(|r| match r {
+            Ok(v) => v,
+            Err(TaskError::Panicked { message, .. }) => {
+                PlanVerdict::all_failed(plan.feature_count(), FailReason::Panic(message))
+            }
+        })
+        .collect();
         assert_eq!(par.len(), origins.len());
         for (s, p) in seq.iter().zip(par.iter()) {
             assert_eq!(s.kind, p.kind);

@@ -27,9 +27,8 @@
 
 use crate::frame::{read_frame, write_frame, DecodeError, FrameReadError, FrameType};
 use crate::wire::{
-    decode_error, decode_job_reply, decode_response, decode_stats_reply, encode_job_cancel,
-    encode_job_poll, encode_request, encode_request_with_deadline, encode_stats_request,
-    encode_submit_job, StatsReply, WireError,
+    decode, encode, encode_request, JobReply, RequestPayload, StatsReply, SubmitJobPayload, Wire,
+    WireError,
 };
 use fepia_obs::trace::{self, stage};
 use fepia_obs::TraceId;
@@ -234,59 +233,20 @@ impl NetClient {
             )
             .emit();
         }
-        let frame = match read_frame(stream) {
-            Ok(f) => f,
-            Err(FrameReadError::Io(e)) => return Err(NetError::Io(e)),
-            Err(FrameReadError::Closed) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "server closed the connection",
-                )))
-            }
-            Err(FrameReadError::Decode(e)) => return Err(NetError::Decode(e)),
-        };
-        match frame.frame_type {
-            FrameType::Response => {
-                let resp = decode_response(&frame.payload).map_err(NetError::Decode)?;
-                if resp.id != id {
-                    return Err(NetError::Protocol(format!(
-                        "response id {} for request id {id}",
-                        resp.id
-                    )));
-                }
-                Ok(resp)
-            }
-            FrameType::Error => {
-                let (echo, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
-                if echo != id && echo != 0 {
-                    return Err(NetError::Protocol(format!(
-                        "error frame id {echo} for request id {id}"
-                    )));
-                }
-                Err(match err {
-                    WireError::Overloaded { shard, reason } => {
-                        NetError::Overloaded { shard, reason }
-                    }
-                    WireError::Invalid(msg) => NetError::Invalid(msg),
-                })
-            }
-            other => Err(NetError::Protocol(format!(
-                "server sent a {other:?} frame to an eval request"
-            ))),
-        }
+        read_reply(stream, |echo| echo == id)
     }
 
-    /// Evaluates one request, retrying per the config. See the module docs
-    /// for the retry / reconnect / give-up classification.
-    ///
-    /// Tracing: when [`fepia_obs::trace_enabled`], the client mints the
-    /// request's [`TraceId`] here (deterministically, from the request id),
-    /// sends it in the frame header, and emits `client.send` /
-    /// `client.retry` / `client.recv` spans.
-    pub fn call(&mut self, req: &EvalRequest) -> Result<EvalResponse, NetError> {
-        let bytes = encode_request(req);
-        let traced = trace::trace_enabled();
-        let trace_id = if traced { TraceId::mint(req.id).0 } else { 0 };
+    /// Runs `attempt` under the retry budget: `Invalid` is returned at
+    /// once, `Overloaded` backs off on the same connection, anything else
+    /// reconnects first. `spans` emits the `client.retry` / `client.recv`
+    /// spans for request `id` under `trace`.
+    fn retried<T>(
+        &mut self,
+        id: u64,
+        trace: u64,
+        spans: bool,
+        mut attempt: impl FnMut(&mut NetClient) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
         let call_started = Instant::now();
         let mut last: Option<NetError> = None;
         for n in 0..self.config.max_attempts {
@@ -295,9 +255,9 @@ impl NetClient {
                 if fepia_obs::enabled() {
                     fepia_obs::global().counter("net.client.retries").inc();
                 }
-                if traced {
+                if spans {
                     trace::with_wall(
-                        trace::span_event(TraceId(trace_id), stage::CLIENT_RETRY, req.id),
+                        trace::span_event(TraceId(trace), stage::CLIENT_RETRY, id),
                         call_started,
                     )
                     .field("attempt", u64::from(n))
@@ -321,16 +281,16 @@ impl NetClient {
                     .saturating_mul(1u32 << (n - 1).min(16));
                 std::thread::sleep(exp.min(self.config.backoff_cap));
             }
-            match self.attempt(&bytes, req.id, trace_id, None) {
-                Ok(resp) => {
-                    if traced {
+            match attempt(self) {
+                Ok(reply) => {
+                    if spans {
                         trace::with_wall(
-                            trace::span_event(TraceId(trace_id), stage::CLIENT_RECV, req.id),
+                            trace::span_event(TraceId(trace), stage::CLIENT_RECV, id),
                             call_started,
                         )
                         .emit();
                     }
-                    return Ok(resp);
+                    return Ok(reply);
                 }
                 Err(NetError::Invalid(msg)) => return Err(NetError::Invalid(msg)),
                 Err(e @ NetError::Overloaded { .. }) => {
@@ -348,6 +308,22 @@ impl NetClient {
         Err(NetError::RetriesExhausted {
             attempts: self.config.max_attempts,
             last: Box::new(last.expect("max_attempts >= 1 guarantees an error")),
+        })
+    }
+
+    /// Evaluates one request, retrying per the config. See the module docs
+    /// for the retry / reconnect / give-up classification.
+    ///
+    /// Tracing: when [`fepia_obs::trace_enabled`], the client mints the
+    /// request's [`TraceId`] here (deterministically, from the request id),
+    /// sends it in the frame header, and emits `client.send` /
+    /// `client.retry` / `client.recv` spans.
+    pub fn call(&mut self, req: &EvalRequest) -> Result<EvalResponse, NetError> {
+        let bytes = encode_request(req);
+        let traced = trace::trace_enabled();
+        let trace_id = if traced { TraceId::mint(req.id).0 } else { 0 };
+        self.retried(req.id, trace_id, traced, |c| {
+            c.attempt(&bytes, req.id, trace_id, None)
         })
     }
 
@@ -422,7 +398,7 @@ impl NetClient {
             };
             attempts += 1;
             let deadline_us = remaining.as_micros().min(u64::MAX as u128) as u64;
-            let bytes = encode_request_with_deadline(req, deadline_us.max(1));
+            let bytes = encode(&RequestPayload::new(req, deadline_us.max(1)));
             match self.attempt(&bytes, req.id, trace_id, Some(remaining)) {
                 Ok(resp) => {
                     if traced {
@@ -504,52 +480,15 @@ impl NetClient {
         let mut slots: Vec<Option<EvalResponse>> = (0..reqs.len()).map(|_| None).collect();
         let mut filled = 0usize;
         while filled < reqs.len() {
-            let outcome = (|| -> Result<EvalResponse, NetError> {
-                let stream = self.stream.as_mut().expect("stream present while reading");
-                let frame = match read_frame(stream) {
-                    Ok(f) => f,
-                    Err(FrameReadError::Io(e)) => return Err(NetError::Io(e)),
-                    Err(FrameReadError::Closed) => {
-                        return Err(NetError::Io(std::io::Error::new(
-                            std::io::ErrorKind::ConnectionAborted,
-                            "server closed the connection mid-batch",
-                        )))
-                    }
-                    Err(FrameReadError::Decode(e)) => return Err(NetError::Decode(e)),
-                };
-                match frame.frame_type {
-                    FrameType::Response => {
-                        decode_response(&frame.payload).map_err(NetError::Decode)
-                    }
-                    FrameType::Error => {
-                        let (echo, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
-                        Err(match err {
-                            WireError::Overloaded { shard, reason } => {
-                                let _ = echo;
-                                NetError::Overloaded { shard, reason }
-                            }
-                            WireError::Invalid(msg) => NetError::Invalid(msg),
-                        })
-                    }
-                    other => Err(NetError::Protocol(format!(
-                        "server sent a {other:?} frame to a pipelined eval batch"
-                    ))),
-                }
-            })();
-            let resp = match outcome {
+            let stream = self.stream.as_mut().expect("stream present while reading");
+            let resp: EvalResponse = match read_reply(stream, |echo| index_of.contains_key(&echo)) {
                 Ok(resp) => resp,
                 Err(e) => {
                     self.stream = None;
                     return Err(e);
                 }
             };
-            let Some(&i) = index_of.get(&resp.id) else {
-                self.stream = None;
-                return Err(NetError::Protocol(format!(
-                    "response id {} matches no request in the batch",
-                    resp.id
-                )));
-            };
+            let i = index_of[&resp.id];
             if slots[i].is_some() {
                 self.stream = None;
                 return Err(NetError::Protocol(format!(
@@ -577,96 +516,46 @@ impl NetClient {
             .collect())
     }
 
-    /// One job-frame round trip: write the frame, read one frame back,
-    /// classify. Every job operation is answered with a `JobResult` frame
-    /// (or a typed error frame), whatever the operation was.
-    fn job_roundtrip(
+    /// One round trip for a job operation or stats poll: write the frame,
+    /// read the one reply frame back.
+    fn roundtrip<T: Reply>(
         &mut self,
         frame_type: FrameType,
         bytes: &[u8],
         id: u64,
         trace: u64,
-    ) -> Result<JobSnapshot, NetError> {
+    ) -> Result<T, NetError> {
         let stream = self.stream()?;
         write_frame(stream, frame_type, trace, bytes).map_err(NetError::Io)?;
-        let frame = match read_frame(stream) {
-            Ok(f) => f,
-            Err(FrameReadError::Io(e)) => return Err(NetError::Io(e)),
-            Err(FrameReadError::Closed) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "server closed the connection",
-                )))
-            }
-            Err(FrameReadError::Decode(e)) => return Err(NetError::Decode(e)),
-        };
-        match frame.frame_type {
-            FrameType::JobResult => {
-                let reply = decode_job_reply(&frame.payload).map_err(NetError::Decode)?;
-                if reply.id != id {
-                    return Err(NetError::Protocol(format!(
-                        "job reply id {} for request id {id}",
-                        reply.id
-                    )));
-                }
-                Ok(reply.snapshot)
-            }
-            FrameType::Error => {
-                let (echo, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
-                if echo != id && echo != 0 {
-                    return Err(NetError::Protocol(format!(
-                        "error frame id {echo} for request id {id}"
-                    )));
-                }
-                Err(match err {
-                    WireError::Overloaded { shard, reason } => {
-                        NetError::Overloaded { shard, reason }
-                    }
-                    WireError::Invalid(msg) => NetError::Invalid(msg),
-                })
-            }
-            other => Err(NetError::Protocol(format!(
-                "server sent a {other:?} frame to a job operation"
-            ))),
-        }
+        read_reply(stream, |echo| echo == id)
     }
 
-    /// An idempotent job operation (status poll, cancel) with the same
-    /// retry / reconnect / backoff classification as [`NetClient::call`].
+    /// A one-attempt operation: on transport or framing trouble the stream
+    /// state is unknown, so the next call reconnects.
+    fn once<T>(&mut self, result: Result<T, NetError>) -> Result<T, NetError> {
+        if matches!(
+            result,
+            Err(NetError::Io(_) | NetError::Decode(_) | NetError::Protocol(_))
+        ) {
+            self.stream = None;
+        }
+        result
+    }
+
+    /// An idempotent operation on `job` (status poll, cancel) with the
+    /// same retry / reconnect / backoff classification as
+    /// [`NetClient::call`].
     fn job_call_retried(
         &mut self,
         frame_type: FrameType,
-        bytes: &[u8],
         id: u64,
-        trace: u64,
+        job: u64,
     ) -> Result<JobSnapshot, NetError> {
-        let mut last: Option<NetError> = None;
-        for n in 0..self.config.max_attempts {
-            if n > 0 {
-                self.retries += 1;
-                if fepia_obs::enabled() {
-                    fepia_obs::global().counter("net.client.retries").inc();
-                }
-                let exp = self
-                    .config
-                    .backoff_base
-                    .saturating_mul(1u32 << (n - 1).min(16));
-                std::thread::sleep(exp.min(self.config.backoff_cap));
-            }
-            match self.job_roundtrip(frame_type, bytes, id, trace) {
-                Ok(snapshot) => return Ok(snapshot),
-                Err(NetError::Invalid(msg)) => return Err(NetError::Invalid(msg)),
-                Err(e @ NetError::Overloaded { .. }) => last = Some(e),
-                Err(e) => {
-                    self.stream = None;
-                    last = Some(e);
-                }
-            }
-        }
-        Err(NetError::RetriesExhausted {
-            attempts: self.config.max_attempts,
-            last: Box::new(last.expect("max_attempts >= 1 guarantees an error")),
+        let (bytes, trace) = (encode(&(id, job)), trace_id(id));
+        self.retried(id, trace, false, |c| {
+            c.roundtrip::<JobReply>(frame_type, &bytes, id, trace)
         })
+        .map(|reply| reply.snapshot)
     }
 
     /// Submits an optimizer job and returns its first snapshot (carrying
@@ -680,45 +569,22 @@ impl NetClient {
     /// admission bound) and `Invalid` (the spec can never run) come back
     /// unretried as well — the caller owns the admission policy.
     pub fn submit_job(&mut self, id: u64, spec: &JobSpec) -> Result<JobSnapshot, NetError> {
-        let bytes = encode_submit_job(id, spec);
-        let trace = if trace::trace_enabled() {
-            TraceId::mint(id).0
-        } else {
-            0
-        };
-        let result = self.job_roundtrip(FrameType::SubmitJob, &bytes, id, trace);
-        if matches!(
-            result,
-            Err(NetError::Io(_) | NetError::Decode(_) | NetError::Protocol(_))
-        ) {
-            self.stream = None;
-        }
-        result
+        let bytes = encode(&SubmitJobPayload::new(id, spec));
+        let result = self.roundtrip::<JobReply>(FrameType::SubmitJob, &bytes, id, trace_id(id));
+        self.once(result).map(|reply| reply.snapshot)
     }
 
     /// Polls a job's best-so-far snapshot. Idempotent: retried with
     /// reconnect and backoff like [`NetClient::call`].
     pub fn job_status(&mut self, id: u64, job: u64) -> Result<JobSnapshot, NetError> {
-        let bytes = encode_job_poll(id, job);
-        let trace = if trace::trace_enabled() {
-            TraceId::mint(id).0
-        } else {
-            0
-        };
-        self.job_call_retried(FrameType::JobStatus, &bytes, id, trace)
+        self.job_call_retried(FrameType::JobStatus, id, job)
     }
 
     /// Requests cancellation and returns the resulting snapshot (already
     /// typed `Cancelled` unless the job had finished first). Idempotent:
     /// retried with reconnect and backoff.
     pub fn cancel_job(&mut self, id: u64, job: u64) -> Result<JobSnapshot, NetError> {
-        let bytes = encode_job_cancel(id, job);
-        let trace = if trace::trace_enabled() {
-            TraceId::mint(id).0
-        } else {
-            0
-        };
-        self.job_call_retried(FrameType::CancelJob, &bytes, id, trace)
+        self.job_call_retried(FrameType::CancelJob, id, job)
     }
 
     /// Polls every `interval` until the job reaches a terminal state,
@@ -746,57 +612,89 @@ impl NetClient {
     /// a stats poll is cheap to reissue and the caller usually wants
     /// *current* numbers, not a delayed echo.
     pub fn stats(&mut self, id: u64) -> Result<StatsReply, NetError> {
-        let bytes = encode_stats_request(id);
-        // Under pipelining every outbound frame needs a unique correlation
-        // id: stats polls mint theirs from the same SplitMix64 sequence as
-        // eval requests (0 only when tracing is off).
-        let trace = if trace::trace_enabled() {
-            TraceId::mint(id).0
-        } else {
-            0
-        };
-        let stream = self.stream()?;
-        if let Err(e) = write_frame(stream, FrameType::StatsRequest, trace, &bytes) {
-            self.stream = None;
-            return Err(NetError::Io(e));
-        }
-        let frame = match read_frame(stream) {
-            Ok(f) => f,
-            Err(err) => {
-                self.stream = None;
-                return Err(match err {
-                    FrameReadError::Io(e) => NetError::Io(e),
-                    FrameReadError::Closed => NetError::Io(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionAborted,
-                        "server closed the connection",
-                    )),
-                    FrameReadError::Decode(e) => NetError::Decode(e),
-                });
-            }
-        };
-        match frame.frame_type {
-            FrameType::StatsResponse => {
-                let reply = decode_stats_reply(&frame.payload).map_err(NetError::Decode)?;
-                if reply.id != id {
-                    return Err(NetError::Protocol(format!(
-                        "stats reply id {} for poll id {id}",
-                        reply.id
-                    )));
-                }
-                Ok(reply)
-            }
-            FrameType::Error => {
-                let (_, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
-                Err(match err {
-                    WireError::Overloaded { shard, reason } => {
-                        NetError::Overloaded { shard, reason }
-                    }
-                    WireError::Invalid(msg) => NetError::Invalid(msg),
-                })
-            }
-            other => Err(NetError::Protocol(format!(
-                "server sent a {other:?} frame to a stats poll"
-            ))),
-        }
+        let result = self.roundtrip(FrameType::StatsRequest, &encode(&id), id, trace_id(id));
+        self.once(result)
     }
+}
+
+/// The trace id a frame for request `id` carries: minted from the same
+/// SplitMix64 sequence for every frame kind, so each outbound frame keeps
+/// a unique correlation id under pipelining (0 only when tracing is off).
+fn trace_id(id: u64) -> u64 {
+    if trace::trace_enabled() {
+        TraceId::mint(id).0
+    } else {
+        0
+    }
+}
+
+/// A reply payload and the frame type that carries it.
+trait Reply: Wire {
+    const FRAME: FrameType;
+    /// The request id the reply echoes.
+    fn echo(&self) -> u64;
+}
+
+impl Reply for EvalResponse {
+    const FRAME: FrameType = FrameType::Response;
+    fn echo(&self) -> u64 {
+        self.id
+    }
+}
+
+impl Reply for JobReply {
+    const FRAME: FrameType = FrameType::JobResult;
+    fn echo(&self) -> u64 {
+        self.id
+    }
+}
+
+impl Reply for StatsReply {
+    const FRAME: FrameType = FrameType::StatsResponse;
+    fn echo(&self) -> u64 {
+        self.id
+    }
+}
+
+/// Reads one reply frame. A `T::FRAME` frame decodes to `T`; an `Error`
+/// frame maps to its typed [`NetError`]. Either must echo an id `ours`
+/// accepts (an error frame may also echo 0: the server could not read the
+/// id); anything else is a protocol violation.
+fn read_reply<T: Reply>(stream: &mut TcpStream, ours: impl Fn(u64) -> bool) -> Result<T, NetError> {
+    let frame = read_frame(stream).map_err(|e| match e {
+        FrameReadError::Io(e) => NetError::Io(e),
+        FrameReadError::Closed => NetError::Io(std::io::Error::new(
+            std::io::ErrorKind::ConnectionAborted,
+            "server closed the connection",
+        )),
+        FrameReadError::Decode(e) => NetError::Decode(e),
+    })?;
+    if frame.frame_type == T::FRAME {
+        let reply: T = decode(&frame.payload).map_err(NetError::Decode)?;
+        if !ours(reply.echo()) {
+            return Err(NetError::Protocol(format!(
+                "{:?} frame echoes id {}, which no request here carries",
+                T::FRAME,
+                reply.echo()
+            )));
+        }
+        return Ok(reply);
+    }
+    if frame.frame_type != FrameType::Error {
+        return Err(NetError::Protocol(format!(
+            "server sent a {:?} frame where a {:?} was expected",
+            frame.frame_type,
+            T::FRAME
+        )));
+    }
+    let (echo, err) = decode::<(u64, WireError)>(&frame.payload).map_err(NetError::Decode)?;
+    if echo != 0 && !ours(echo) {
+        return Err(NetError::Protocol(format!(
+            "error frame echoes id {echo}, which no request here carries"
+        )));
+    }
+    Err(match err {
+        WireError::Overloaded { shard, reason } => NetError::Overloaded { shard, reason },
+        WireError::Invalid(msg) => NetError::Invalid(msg),
+    })
 }

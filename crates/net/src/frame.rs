@@ -64,21 +64,21 @@ pub enum FrameType {
     Response,
     /// Server → client: a typed refusal (overload or invalid request).
     Error,
-    /// Client → server: poll the live service/net counters
-    /// ([`crate::wire::encode_stats_request`]).
+    /// Client → server: poll the live service/net counters (a `u64`
+    /// poll id).
     StatsRequest,
     /// Server → client: one [`crate::wire::StatsReply`].
     StatsResponse,
     /// Client → server: submit an optimizer job
-    /// ([`crate::wire::encode_submit_job`]).
+    /// ([`crate::wire::SubmitJobPayload`]).
     SubmitJob,
     /// Client → server: poll a job's best-so-far snapshot
-    /// ([`crate::wire::encode_job_poll`]).
+    /// (`(request id, job id)`).
     JobStatus,
     /// Server → client: one [`crate::wire::JobReply`] (the answer to
     /// submit, status, and cancel alike).
     JobResult,
-    /// Client → server: cancel a job ([`crate::wire::encode_job_cancel`]).
+    /// Client → server: cancel a job (`(request id, job id)`).
     CancelJob,
 }
 

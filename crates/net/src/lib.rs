@@ -8,10 +8,12 @@
 //! * [`frame`] — the byte layer: `FEPN`-tagged versioned header,
 //!   length-prefixed checksummed payload, total decoding into typed
 //!   [`frame::DecodeError`]s (fuzzed: malformed bytes never panic).
-//! * [`wire`] — the payload layer: requests (scenario by value +
-//!   `Verdict`/`Origins`/`Moves` kind), bit-exact responses (`f64`s as
-//!   IEEE bit patterns), and typed error payloads
-//!   ([`wire::WireError::Overloaded`] / [`wire::WireError::Invalid`]).
+//! * [`wire`] — the payload layer: one [`wire::Wire`] trait, implemented
+//!   once per payload type, composes every frame's payload — requests
+//!   (scenario by value + evaluation kind), bit-exact responses (`f64`s
+//!   as IEEE bit patterns), typed error payloads
+//!   ([`wire::WireError::Overloaded`] / [`wire::WireError::Invalid`]),
+//!   stats polls and optimizer-job frames.
 //! * [`poll`] — a std-only readiness shim over `poll(2)` plus a
 //!   self-pipe waker; the one primitive the event loop needs and the
 //!   standard library does not expose.
@@ -60,8 +62,6 @@ pub use frame::{
 };
 pub use server::{NetServer, NetStatsSnapshot, ServerConfig};
 pub use wire::{
-    decode_error, decode_job_cancel, decode_job_poll, decode_job_reply, decode_request,
-    decode_response, decode_submit_job, encode_error, encode_job_cancel, encode_job_poll,
-    encode_job_reply, encode_request, encode_request_with_deadline, encode_response,
-    encode_submit_job, JobReply, RequestPayload, SubmitJobPayload, WireError,
+    decode, decode_request, decode_response, encode, encode_request, encode_response, JobReply,
+    RequestPayload, StatsReply, SubmitJobPayload, Wire, WireError,
 };

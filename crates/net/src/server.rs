@@ -42,16 +42,14 @@
 //! always-on high-water mark of per-connection pipeline depth in
 //! [`NetStatsSnapshot::max_pipeline_depth`].
 
-use crate::frame::{FrameDecoder, FrameType, FrameWriter};
+use crate::frame::{Frame, FrameDecoder, FrameType, FrameWriter};
 use crate::poll::{wake_pair, Interest, PollSet, WakeReader, Waker};
 use crate::wire::{
-    decode_job_cancel, decode_job_poll, decode_request, decode_stats_request, decode_submit_job,
-    encode_error, encode_job_reply, encode_response, encode_stats_reply, JobReply, StatsReply,
-    WireError,
+    decode, encode, JobReply, RequestPayload, StatsReply, SubmitJobPayload, Wire, WireError,
 };
 use fepia_serve::{
-    EvalResponse, JobError, JobTable, JobTableConfig, RequestBudget, ServeError, Service,
-    ShedReason,
+    EvalResponse, JobError, JobSnapshot, JobTable, JobTableConfig, RequestBudget, ServeError,
+    Service, ShedReason,
 };
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -591,7 +589,7 @@ impl EventLoop {
                         .histogram("net.request.us")
                         .record(done.received.elapsed().as_nanos() as f64 / 1_000.0);
                 }
-                let payload = encode_response(&done.resp);
+                let payload = encode(&done.resp);
                 self.enqueue_frame(
                     done.slot,
                     FrameType::Response,
@@ -625,8 +623,7 @@ impl EventLoop {
         }
         if fepia_chaos::enabled() && fepia_chaos::should_fire("net.write") {
             self.stats.count(&self.stats.chaos_drops, "net.chaos.drops");
-            let full =
-                crate::frame::Frame::with_trace(frame_type, trace, payload.to_vec()).encode();
+            let full = Frame::with_trace(frame_type, trace, payload.to_vec()).encode();
             let torn = &full[..full.len() / 2];
             // Best effort: push earlier queued frames, then the strict
             // prefix, then sever. The client decodes Truncated and its
@@ -765,12 +762,8 @@ impl EventLoop {
                     // the poisoned buffer so a later decode pass (window
                     // freeing up, main-loop catch-up) cannot re-decode the
                     // same bytes and emit the error frame twice.
-                    self.stats
-                        .count(&self.stats.decode_errors, "net.decode_errors");
-                    conn.read_closed = true;
                     conn.decoder = FrameDecoder::new();
-                    let payload = encode_error(0, &WireError::Invalid(format!("bad frame: {e}")));
-                    self.enqueue_frame(slot, FrameType::Error, 0, &payload, 0);
+                    self.refuse_malformed(slot, 0, format!("bad frame: {e}"));
                     return;
                 }
             };
@@ -786,56 +779,29 @@ impl EventLoop {
         }
     }
 
-    /// Routes one decoded frame: eval request, stats poll, or protocol
-    /// violation.
-    fn handle_frame(&mut self, slot: usize, frame: crate::frame::Frame) {
+    /// Routes one decoded frame: eval request, stats poll, job operation,
+    /// or protocol violation.
+    fn handle_frame(&mut self, slot: usize, frame: Frame) {
         let decode_started = Instant::now();
+        let trace = frame.trace;
         match frame.frame_type {
             FrameType::StatsRequest => {
-                match decode_stats_request(&frame.payload) {
-                    Ok(id) => {
-                        self.stats.count(&self.stats.frames_read, "net.frames.read");
-                        let reply = StatsReply {
-                            id,
-                            shards: self.service.stats().shards,
-                            net: self.stats.snapshot(),
-                        };
-                        let payload = encode_stats_reply(&reply);
-                        self.enqueue_frame(
-                            slot,
-                            FrameType::StatsResponse,
-                            frame.trace,
-                            &payload,
-                            id,
-                        );
-                    }
-                    Err(e) => {
-                        self.stats
-                            .count(&self.stats.decode_errors, "net.decode_errors");
-                        let payload =
-                            encode_error(0, &WireError::Invalid(format!("bad stats poll: {e}")));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &payload, 0);
-                    }
+                let Some(id) = self.decode_or_refuse::<u64>(slot, &frame) else {
+                    return;
                 };
+                let reply = StatsReply {
+                    id,
+                    shards: self.service.stats().shards,
+                    net: self.stats.snapshot(),
+                };
+                self.enqueue_frame(slot, FrameType::StatsResponse, trace, &encode(&reply), id);
             }
             FrameType::Request => {
-                let payload = match decode_request(&frame.payload) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        self.stats
-                            .count(&self.stats.decode_errors, "net.decode_errors");
-                        if let Some(conn) = &mut self.conns[slot] {
-                            conn.read_closed = true;
-                        }
-                        let msg = encode_error(0, &WireError::Invalid(format!("bad request: {e}")));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &msg, 0);
-                        return;
-                    }
+                let Some(payload) = self.decode_or_refuse::<RequestPayload>(slot, &frame) else {
+                    return;
                 };
-                self.stats.count(&self.stats.frames_read, "net.frames.read");
                 let id = payload.id;
                 let deadline_us = payload.deadline_us;
-                let trace = frame.trace;
                 let received = Instant::now();
 
                 // Admission control, *before* the (allocating) semantic
@@ -844,7 +810,6 @@ impl EventLoop {
                 if self.in_flight_global >= self.shed_at {
                     self.stats
                         .count(&self.stats.admission_shed, "net.admission.shed");
-                    self.stats.count(&self.stats.overloaded, "net.overloaded");
                     if trace != 0 && fepia_obs::trace_enabled() {
                         fepia_obs::trace::with_wall(
                             fepia_obs::trace::span_event(
@@ -857,14 +822,11 @@ impl EventLoop {
                         .field("cause", "admission")
                         .emit();
                     }
-                    let payload = encode_error(
-                        id,
-                        &WireError::Overloaded {
-                            shard: 0,
-                            reason: ShedReason::QueueFull,
-                        },
-                    );
-                    self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
+                    let shed = WireError::Overloaded {
+                        shard: 0,
+                        reason: ShedReason::QueueFull,
+                    };
+                    self.refuse(slot, trace, id, shed);
                     return;
                 }
                 let busy_ns = (self.in_flight_global as u128 * self.admitted_ns(received))
@@ -885,12 +847,7 @@ impl EventLoop {
 
                 let req = match payload.into_request() {
                     Ok(r) => r,
-                    Err(msg) => {
-                        self.stats.count(&self.stats.invalid, "net.invalid");
-                        let payload = encode_error(id, &WireError::Invalid(msg));
-                        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                        return;
-                    }
+                    Err(msg) => return self.refuse(slot, trace, id, WireError::Invalid(msg)),
                 };
                 if trace != 0 && fepia_obs::trace_enabled() {
                     fepia_obs::trace::with_wall(
@@ -926,7 +883,7 @@ impl EventLoop {
                             drop(q);
                             waker.wake();
                         });
-                match submit {
+                let refusal = match submit {
                     Ok(_shard) => {
                         self.in_flight_global += 1;
                         self.admitted_sum_ns += self.admitted_ns(received);
@@ -934,152 +891,124 @@ impl EventLoop {
                             conn.in_flight += 1;
                             self.stats.observe_depth(conn.in_flight);
                         }
+                        return;
                     }
-                    Err(ServeError::Overloaded(o)) => {
-                        self.stats.count(&self.stats.overloaded, "net.overloaded");
-                        let payload = encode_error(
-                            id,
-                            &WireError::Overloaded {
-                                shard: o.shard as u64,
-                                reason: o.reason,
-                            },
-                        );
-                        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                    }
-                    Err(ServeError::Invalid(msg)) => {
-                        self.stats.count(&self.stats.invalid, "net.invalid");
-                        let payload = encode_error(id, &WireError::Invalid(msg));
-                        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                    }
-                    Err(ServeError::Disconnected) => {
-                        self.stats.count(&self.stats.overloaded, "net.overloaded");
-                        let payload = encode_error(
-                            id,
-                            &WireError::Overloaded {
-                                shard: 0,
-                                reason: ShedReason::ShuttingDown,
-                            },
-                        );
-                        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                    }
-                }
+                    Err(ServeError::Overloaded(o)) => WireError::Overloaded {
+                        shard: o.shard as u64,
+                        reason: o.reason,
+                    },
+                    Err(ServeError::Invalid(msg)) => WireError::Invalid(msg),
+                    Err(ServeError::Disconnected) => WireError::Overloaded {
+                        shard: 0,
+                        reason: ShedReason::ShuttingDown,
+                    },
+                };
+                self.refuse(slot, trace, id, refusal);
             }
             // Job-table operations are handled inline: submit spawns a
             // runner thread, status clones a snapshot, cancel flips a flag —
             // none blocks the loop on evaluation work.
             FrameType::SubmitJob => {
-                let payload = match decode_submit_job(&frame.payload) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        self.stats
-                            .count(&self.stats.decode_errors, "net.decode_errors");
-                        if let Some(conn) = &mut self.conns[slot] {
-                            conn.read_closed = true;
-                        }
-                        let msg =
-                            encode_error(0, &WireError::Invalid(format!("bad job submit: {e}")));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &msg, 0);
-                        return;
-                    }
+                let Some(payload) = self.decode_or_refuse::<SubmitJobPayload>(slot, &frame) else {
+                    return;
                 };
-                self.stats.count(&self.stats.frames_read, "net.frames.read");
                 let id = payload.id;
                 let spec = match payload.into_spec() {
                     Ok(s) => s,
-                    Err(msg) => {
-                        self.stats.count(&self.stats.invalid, "net.invalid");
-                        let payload = encode_error(id, &WireError::Invalid(msg));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &payload, id);
-                        return;
-                    }
+                    Err(msg) => return self.refuse(slot, trace, id, WireError::Invalid(msg)),
                 };
-                match self.jobs.submit_traced(spec, frame.trace) {
-                    // The submit answer is the job's first snapshot — the
-                    // same shape every later poll returns. (With a zero
-                    // retention bound an instant job can already be evicted;
-                    // that surfaces as the same typed refusal a late poll
-                    // would get.)
-                    Ok(job) => match self.jobs.status(job) {
-                        Ok(snapshot) => {
-                            let payload = encode_job_reply(&JobReply { id, snapshot });
-                            self.enqueue_frame(
-                                slot,
-                                FrameType::JobResult,
-                                frame.trace,
-                                &payload,
-                                id,
-                            );
-                        }
-                        Err(err) => self.refuse_job(slot, frame.trace, id, err),
-                    },
-                    Err(err) => self.refuse_job(slot, frame.trace, id, err),
-                }
+                // The submit answer is the job's first snapshot — the same
+                // shape every later poll returns. (With a zero retention
+                // bound an instant job can already be evicted; that surfaces
+                // as the same typed refusal a late poll would get.)
+                let result = self
+                    .jobs
+                    .submit_traced(spec, trace)
+                    .and_then(|job| self.jobs.status(job));
+                self.answer_job(slot, trace, id, result);
             }
             FrameType::JobStatus | FrameType::CancelJob => {
-                let cancel = frame.frame_type == FrameType::CancelJob;
-                let decoded = if cancel {
-                    decode_job_cancel(&frame.payload)
-                } else {
-                    decode_job_poll(&frame.payload)
+                let Some((id, job)) = self.decode_or_refuse::<(u64, u64)>(slot, &frame) else {
+                    return;
                 };
-                let (id, job) = match decoded {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        self.stats
-                            .count(&self.stats.decode_errors, "net.decode_errors");
-                        if let Some(conn) = &mut self.conns[slot] {
-                            conn.read_closed = true;
-                        }
-                        let msg = encode_error(0, &WireError::Invalid(format!("bad job ref: {e}")));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &msg, 0);
-                        return;
-                    }
-                };
-                self.stats.count(&self.stats.frames_read, "net.frames.read");
-                let result = if cancel {
+                let result = if frame.frame_type == FrameType::CancelJob {
                     self.jobs.cancel(job)
                 } else {
                     self.jobs.status(job)
                 };
-                match result {
-                    Ok(snapshot) => {
-                        let payload = encode_job_reply(&JobReply { id, snapshot });
-                        self.enqueue_frame(slot, FrameType::JobResult, frame.trace, &payload, id);
-                    }
-                    Err(err) => self.refuse_job(slot, frame.trace, id, err),
-                }
+                self.answer_job(slot, trace, id, result);
             }
-            other => {
-                self.stats
-                    .count(&self.stats.decode_errors, "net.decode_errors");
-                if let Some(conn) = &mut self.conns[slot] {
-                    conn.read_closed = true;
-                }
-                let payload = encode_error(
-                    0,
-                    &WireError::Invalid(format!("unexpected {other:?} frame from client")),
-                );
-                self.enqueue_frame(slot, FrameType::Error, frame.trace, &payload, 0);
+            other => self.refuse_malformed(
+                slot,
+                trace,
+                format!("unexpected {other:?} frame from client"),
+            ),
+        }
+    }
+
+    /// Decodes a frame's payload as `T`, or refuses the frame as malformed.
+    fn decode_or_refuse<T: Wire>(&mut self, slot: usize, frame: &Frame) -> Option<T> {
+        match decode(&frame.payload) {
+            Ok(value) => {
+                self.stats.count(&self.stats.frames_read, "net.frames.read");
+                Some(value)
+            }
+            Err(e) => {
+                let msg = format!("bad {:?} payload: {e}", frame.frame_type);
+                self.refuse_malformed(slot, frame.trace, msg);
+                None
             }
         }
     }
 
-    /// Answers a job operation with the typed refusal mapped onto the
-    /// wire's error vocabulary: admission refusals are `Overloaded`
-    /// (retryable), everything else is `Invalid` (permanent).
-    fn refuse_job(&mut self, slot: usize, trace: u64, id: u64, err: JobError) {
-        let wire_err = match err.shed_reason() {
-            Some(reason) => {
-                self.stats.count(&self.stats.overloaded, "net.overloaded");
-                WireError::Overloaded { shard: 0, reason }
+    /// The one answer to malformed input, whatever the frame kind: a typed
+    /// `Invalid` frame with id 0, then no more reads — the stream position
+    /// can no longer be trusted.
+    fn refuse_malformed(&mut self, slot: usize, trace: u64, msg: String) {
+        self.stats
+            .count(&self.stats.decode_errors, "net.decode_errors");
+        if let Some(conn) = &mut self.conns[slot] {
+            conn.read_closed = true;
+        }
+        let payload = encode(&(0u64, WireError::Invalid(msg)));
+        self.enqueue_frame(slot, FrameType::Error, trace, &payload, 0);
+    }
+
+    /// Answers request `id` with a typed refusal, counted as `overloaded`
+    /// (retryable) or `invalid` (permanent).
+    fn refuse(&mut self, slot: usize, trace: u64, id: u64, err: WireError) {
+        match err {
+            WireError::Overloaded { .. } => {
+                self.stats.count(&self.stats.overloaded, "net.overloaded")
             }
-            None => {
-                self.stats.count(&self.stats.invalid, "net.invalid");
-                WireError::Invalid(err.to_string())
+            WireError::Invalid(_) => self.stats.count(&self.stats.invalid, "net.invalid"),
+        }
+        self.enqueue_frame(slot, FrameType::Error, trace, &encode(&(id, err)), id);
+    }
+
+    /// Answers a job operation with its snapshot, or with the typed refusal
+    /// mapped onto the wire's error vocabulary: admission refusals are
+    /// `Overloaded` (retryable), everything else is `Invalid` (permanent).
+    fn answer_job(
+        &mut self,
+        slot: usize,
+        trace: u64,
+        id: u64,
+        result: Result<JobSnapshot, JobError>,
+    ) {
+        match result {
+            Ok(snapshot) => {
+                let payload = encode(&JobReply { id, snapshot });
+                self.enqueue_frame(slot, FrameType::JobResult, trace, &payload, id);
             }
-        };
-        let payload = encode_error(id, &wire_err);
-        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
+            Err(err) => {
+                let refusal = match err.shed_reason() {
+                    Some(reason) => WireError::Overloaded { shard: 0, reason },
+                    None => WireError::Invalid(err.to_string()),
+                };
+                self.refuse(slot, trace, id, refusal);
+            }
+        }
     }
 
     /// Frees a slot; its generation check drops any still-running

@@ -1,42 +1,52 @@
-//! Payload encodings for the three frame types.
+//! Payload encodings for every frame kind, built from one symmetric
+//! [`Wire`] trait.
 //!
 //! All integers are little-endian; `f64`s travel as their IEEE-754 bit
 //! patterns (`to_bits`/`from_bits`), so a decoded response is **bitwise**
 //! identical to the one the server computed — including NaN payloads and
 //! signed zeros. Collections are a `u64` count followed by the elements;
-//! every count is validated against the bytes actually remaining *before*
-//! any allocation, so a hostile length field cannot balloon memory.
+//! every count is checked against the bytes actually remaining — at
+//! [`Wire::MIN_LEN`] bytes per element — *before* any allocation, so a
+//! hostile length field cannot balloon memory. Options are a `0`/`1` tag
+//! byte then the value; enums are a tag byte then the variant's fields.
 //!
-//! * **Request** ([`encode_request`] / [`decode_request`]) — the request id,
-//!   a relative deadline in microseconds (`0` = none; protocol v3), the
-//!   full scenario (ETC matrix, assignment, τ, [`RadiusOptions`]), and
-//!   the [`EvalKind`]. `Curve` requests carry their [`CurveSpec`] — an
-//!   explicit τ grid or adaptive-refinement bounds — as IEEE bit patterns
-//!   like every other `f64`. The scenario travels by value: the server
-//!   reconstructs it and relies on the service's fingerprint cache to avoid
-//!   recompiling plans for scenarios it has already seen.
-//! * **Response** ([`encode_response`] / [`decode_response`]) — the full
-//!   [`EvalResponse`] including every per-feature [`RadiusVerdict`], the
-//!   [`Disposition`] (full / brownout / deadline-exceeded), and — for
-//!   curve requests — the trailing [`CurveMeta`] (evaluated τ levels plus
-//!   the monotonicity flag), so the client sees exactly what an in-process
-//!   caller would.
-//! * **Error** ([`encode_error`] / [`decode_error`]) — a typed refusal:
-//!   [`WireError::Overloaded`] maps the service's queue-full/draining
-//!   shedding onto the wire; [`WireError::Invalid`] is a permanent
-//!   rejection (malformed or semantically impossible request).
+//! Each frame payload is a composition of `Wire` types, encoded by
+//! [`encode`] and decoded by [`decode`] (which also rejects trailing
+//! bytes):
 //!
-//! Decoding is total: malformed payloads yield typed
-//! [`DecodeError`]s, never panics (fuzzed at the workspace root).
+//! | frame | payload |
+//! |---|---|
+//! | `Request` | [`RequestPayload`]: id, relative deadline in µs (`0` = none), the scenario by value (ETC matrix, assignment, τ, [`RadiusOptions`]), the [`EvalKind`] |
+//! | `Response` | [`EvalResponse`]: every per-feature [`RadiusVerdict`], the [`Disposition`], and for curves the [`CurveMeta`] |
+//! | `Error` | `(u64, WireError)`: the echoed id and a typed refusal |
+//! | `StatsRequest` | `u64`: the poll id |
+//! | `StatsResponse` | [`StatsReply`] |
+//! | `SubmitJob` | [`SubmitJobPayload`] |
+//! | `JobStatus`, `CancelJob` | `(u64, u64)`: request id, job id |
+//! | `JobResult` | [`JobReply`] |
+//!
+//! Validation is two-phase. Decoding is structural: truncation, bad tags
+//! and implausible lengths are typed [`DecodeError`]s, never panics
+//! (fuzzed at the workspace root). [`RequestPayload::into_request`] and
+//! [`SubmitJobPayload::into_spec`] are the semantic step that turns a
+//! well-formed frame into a servable request; the server runs admission
+//! control between the two.
+//!
+//! Adding a frame kind: give the payload type a `Wire` impl (the
+//! `wire_struct!` / `wire_enum!` / `wire_tags!` macros below cover plain
+//! structs, tagged enums and unit-enum tag tables), add the
+//! [`crate::frame::FrameType`] byte, and route it in the server's
+//! `handle_frame`.
 
 use crate::frame::DecodeError;
 use crate::server::NetStatsSnapshot;
 use fepia_core::{
     Bound, DegradeReason, FailReason, PlanVerdict, RadiusMethod, RadiusOptions, RadiusResult,
-    RadiusVerdict,
+    RadiusVerdict, VerdictKind,
 };
 use fepia_etc::EtcMatrix;
-use fepia_mapping::Mapping;
+use fepia_mapping::{FrontPoint, Mapping};
+use fepia_optim::root1d::RootOptions;
 use fepia_optim::{Norm, SolverOptions, VecN};
 use fepia_serve::{
     CacheOutcome, CurveGrid, CurveMeta, CurveSpec, Disposition, EvalKind, EvalRequest,
@@ -46,10 +56,44 @@ use fepia_serve::{
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
+// The trait and its two entry points
+// ---------------------------------------------------------------------------
+
+/// A type with one canonical byte encoding. Decoding is total: any input
+/// yields the value or a typed [`DecodeError`], never a panic, and
+/// re-encoding a decoded value reproduces its bytes exactly.
+pub trait Wire: Sized {
+    /// The fewest bytes any value of the type encodes to. Bounds
+    /// collection counts before any allocation.
+    const MIN_LEN: usize;
+    /// Appends the encoding of `self`.
+    fn encode(&self, w: &mut PayloadWriter);
+    /// Reads one value from the front of `r`.
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError>;
+}
+
+/// Encodes one frame payload.
+pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    value.encode(&mut w);
+    w.finish()
+}
+
+/// Decodes one frame payload, failing with
+/// [`DecodeError::TrailingBytes`] unless it is consumed exactly.
+pub fn decode<T: Wire>(payload: &[u8]) -> Result<T, DecodeError> {
+    let mut r = PayloadReader::new(payload);
+    let value = T::decode(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+// ---------------------------------------------------------------------------
 // Byte-level writer/reader
 // ---------------------------------------------------------------------------
 
-/// Append-only little-endian byte writer.
+/// Append-only byte writer.
+#[derive(Default)]
 pub struct PayloadWriter {
     buf: Vec<u8>,
 }
@@ -57,7 +101,7 @@ pub struct PayloadWriter {
 impl PayloadWriter {
     /// An empty writer.
     pub fn new() -> PayloadWriter {
-        PayloadWriter { buf: Vec::new() }
+        PayloadWriter::default()
     }
 
     /// The encoded bytes.
@@ -65,39 +109,12 @@ impl PayloadWriter {
         self.buf
     }
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 }
 
-impl Default for PayloadWriter {
-    fn default() -> Self {
-        PayloadWriter::new()
-    }
-}
-
-/// Bounds-checked little-endian reader over a payload slice.
+/// Bounds-checked reader over a payload slice.
 pub struct PayloadReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -125,42 +142,19 @@ impl<'a> PayloadReader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
     }
 
     /// Reads a collection count and rejects it — before any allocation —
     /// unless `count * min_elem_bytes` could still fit in the bytes left.
     fn count(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, DecodeError> {
-        let len = self.u64()?;
+        let len = u64::decode(self)?;
         let limit = (self.remaining() / min_elem_bytes.max(1)) as u64;
         if len > limit {
             return Err(DecodeError::BadLength { what, len, limit });
         }
         Ok(len as usize)
-    }
-
-    fn str(&mut self, what: &'static str) -> Result<String, DecodeError> {
-        let len = self.count(what, 1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8 { what })
-    }
-
-    fn f64_vec(&mut self, what: &'static str) -> Result<Vec<f64>, DecodeError> {
-        let len = self.count(what, 8)?;
-        (0..len).map(|_| self.f64()).collect()
     }
 
     /// Fails with [`DecodeError::TrailingBytes`] unless fully consumed.
@@ -175,148 +169,348 @@ impl<'a> PayloadReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
+// Generic impls
+// ---------------------------------------------------------------------------
+
+// Every `encode`/`decode` below is `#[inline]`: without the hint the
+// nested decoders of a response stay out-of-line calls and
+// `decode_response` runs about 2× slower than hand-inlined code.
+
+macro_rules! wire_int {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn encode(&self, w: &mut PayloadWriter) {
+                w.put(&self.to_le_bytes());
+            }
+            #[inline]
+            fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )+};
+}
+
+wire_int!(u8, u32, u64);
+
+/// `usize` travels as a `u64`.
+impl Wire for usize {
+    const MIN_LEN: usize = 8;
+    #[inline]
+    fn encode(&self, w: &mut PayloadWriter) {
+        (*self as u64).encode(w);
+    }
+    #[inline]
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        Ok(u64::decode(r)? as usize)
+    }
+}
+
+/// `f64` travels as its IEEE-754 bit pattern.
+impl Wire for f64 {
+    const MIN_LEN: usize = 8;
+    #[inline]
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.to_bits().encode(w);
+    }
+    #[inline]
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        Ok(f64::from_bits(u64::decode(r)?))
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 8;
+    #[inline]
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.len().encode(w);
+        w.put(self.as_bytes());
+    }
+    #[inline]
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        let len = r.count("string", 1)?;
+        String::from_utf8(r.take(len)?.to_vec())
+            .map_err(|_| DecodeError::BadUtf8 { what: "string" })
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    #[inline]
+    fn encode(&self, w: &mut PayloadWriter) {
+        match self {
+            None => 0u8.encode(w),
+            Some(v) => {
+                1u8.encode(w);
+                v.encode(w);
+            }
+        }
+    }
+    #[inline]
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(r)?)),
+            tag => Err(bad_tag("option", tag)),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 8;
+    #[inline]
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.len().encode(w);
+        self.iter().for_each(|v| v.encode(w));
+    }
+    #[inline]
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        let len = r.count(std::any::type_name::<T>(), T::MIN_LEN)?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(T::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Same bytes as the component `Vec<f64>`.
+impl Wire for VecN {
+    const MIN_LEN: usize = 8;
+    #[inline]
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.dim().encode(w);
+        self.iter().for_each(|x| x.encode(w));
+    }
+    #[inline]
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        Vec::decode(r).map(VecN::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    #[inline]
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+    #[inline]
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+fn bad_tag(what: &'static str, tag: u8) -> DecodeError {
+    DecodeError::BadTag {
+        what,
+        tag: tag as u64,
+    }
+}
+
+/// The smallest of `lens` (a tagged enum's cheapest variant).
+const fn min_of(lens: &[usize]) -> usize {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < lens.len() {
+        if lens[i] < min {
+            min = lens[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// A struct encoded as its fields in the listed order. The list must name
+/// every field (the struct literal in `decode` does not compile otherwise).
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident: $ft:ty),+ $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 0 $(+ <$ft as Wire>::MIN_LEN)+;
+            #[inline]
+            fn encode(&self, w: &mut PayloadWriter) {
+                $(self.$field.encode(w);)+
+            }
+            #[inline]
+            fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+                Ok($ty { $($field: <$ft>::decode(r)?),+ })
+            }
+        }
+    };
+}
+
+/// An enum encoded as a tag byte, then the variant's fields in order.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $var:ident
+            $(( $($tf:ident: $tt:ty),+ ))?
+            $({ $($sf:ident: $st:ty),+ })?),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize =
+                1 + min_of(&[$(0 $($(+ <$tt as Wire>::MIN_LEN)+)? $($(+ <$st as Wire>::MIN_LEN)+)?),+]);
+            #[inline]
+            fn encode(&self, w: &mut PayloadWriter) {
+                match self {
+                    $($ty::$var $(( $($tf),+ ))? $({ $($sf),+ })? => {
+                        ($tag as u8).encode(w);
+                        $($($tf.encode(w);)+)?
+                        $($($sf.encode(w);)+)?
+                    })+
+                }
+            }
+            #[inline]
+            fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+                Ok(match u8::decode(r)? {
+                    $($tag => $ty::$var
+                        $(( $(<$tt>::decode(r)?),+ ))?
+                        $({ $($sf: <$st>::decode(r)?),+ })?,)+
+                    tag => return Err(bad_tag($what, tag)),
+                })
+            }
+        }
+    };
+}
+
+/// A field-less value encoded as one tag byte: the variant↔byte table.
+macro_rules! wire_tags {
+    ($ty:ty, $what:literal {
+        $($tag:literal => $v:ident $(::$vs:ident)* $(($($inner:ident)::+))?),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 1;
+            #[inline]
+            fn encode(&self, w: &mut PayloadWriter) {
+                let tag: u8 = match self {
+                    $($v $(::$vs)* $(($($inner)::+))? => $tag),+
+                };
+                tag.encode(w);
+            }
+            #[inline]
+            fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+                match u8::decode(r)? {
+                    $($tag => Ok($v $(::$vs)* $(($($inner)::+))?),)+
+                    tag => Err(bad_tag($what, tag)),
+                }
+            }
+        }
+    };
+}
+
+wire_tags!(bool, "bool" { 0 => false, 1 => true });
+
+// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
-const KIND_VERDICT: u8 = 1;
-const KIND_ORIGINS: u8 = 2;
-const KIND_MOVES: u8 = 3;
-const KIND_CURVE: u8 = 4;
-
-/// Encodes a full request with no deadline: id, scenario by value,
-/// evaluation kind. Equivalent to [`encode_request_with_deadline`] with
-/// `deadline_us = 0`.
-pub fn encode_request(req: &EvalRequest) -> Vec<u8> {
-    encode_request_with_deadline(req, 0)
+/// An ETC matrix as it travels: `apps`, `machines`, then the row-major
+/// cells, not yet checked for shape or values. Shared by evaluation
+/// requests and job submissions.
+#[derive(Clone, Debug)]
+pub(crate) struct EtcCells {
+    apps: usize,
+    machines: usize,
+    values: Vec<f64>,
 }
 
-/// Encodes a full request: id, relative deadline in microseconds (`0` =
-/// none), scenario by value, evaluation kind.
-pub fn encode_request_with_deadline(req: &EvalRequest, deadline_us: u64) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u64(req.id);
-    w.u64(deadline_us);
-    let s = &req.scenario;
-    w.usize(s.etc().apps());
-    w.usize(s.etc().machines());
-    for &v in s.etc().values() {
-        w.f64(v);
-    }
-    w.usize(s.mapping().machines());
-    w.usize(s.mapping().assignment().len());
-    for &j in s.mapping().assignment() {
-        w.usize(j);
-    }
-    w.f64(s.tau());
-    encode_options(&mut w, s.opts());
-    match &req.kind {
-        EvalKind::Verdict => w.u8(KIND_VERDICT),
-        EvalKind::Origins(os) => {
-            w.u8(KIND_ORIGINS);
-            w.usize(os.len());
-            for o in os {
-                w.usize(o.dim());
-                for &x in o.as_slice() {
-                    w.f64(x);
-                }
-            }
-        }
-        EvalKind::Moves(ms) => {
-            w.u8(KIND_MOVES);
-            w.usize(ms.len());
-            for &(app, dst) in ms {
-                w.usize(app);
-                w.usize(dst);
-            }
-        }
-        EvalKind::Curve(spec) => {
-            w.u8(KIND_CURVE);
-            match &spec.grid {
-                CurveGrid::Explicit(levels) => {
-                    w.u8(1);
-                    w.usize(levels.len());
-                    for &t in levels {
-                        w.f64(t);
-                    }
-                }
-                CurveGrid::Adaptive {
-                    tau_lo,
-                    tau_hi,
-                    max_depth,
-                    rho_resolution,
-                } => {
-                    w.u8(2);
-                    w.f64(*tau_lo);
-                    w.f64(*tau_hi);
-                    w.u32(*max_depth);
-                    w.f64(*rho_resolution);
-                }
-            }
+impl EtcCells {
+    fn of(etc: &EtcMatrix) -> EtcCells {
+        EtcCells {
+            apps: etc.apps(),
+            machines: etc.machines(),
+            values: etc.values().to_vec(),
         }
     }
-    w.finish()
+
+    /// Semantic validation: a non-empty matrix of positive finite cells.
+    fn into_matrix(self) -> Result<EtcMatrix, String> {
+        if self.apps == 0 || self.machines == 0 {
+            return Err(format!(
+                "empty ETC matrix ({}x{})",
+                self.apps, self.machines
+            ));
+        }
+        let rows = self.values.chunks(self.machines).map(<[f64]>::to_vec);
+        EtcMatrix::try_from_rows(rows.collect()).map_err(|e| e.to_string())
+    }
 }
 
-fn encode_options(w: &mut PayloadWriter, opts: &RadiusOptions) {
-    match &opts.norm {
-        Norm::L1 => w.u8(1),
-        Norm::L2 => w.u8(2),
-        Norm::LInf => w.u8(3),
-        Norm::WeightedL2(weights) => {
-            w.u8(4);
-            w.usize(weights.len());
-            for &x in weights {
-                w.f64(x);
-            }
-        }
+impl Wire for EtcCells {
+    const MIN_LEN: usize = 16;
+    #[inline]
+    fn encode(&self, w: &mut PayloadWriter) {
+        self.apps.encode(w);
+        self.machines.encode(w);
+        self.values.iter().for_each(|v| v.encode(w));
     }
-    let s = &opts.solver;
-    w.f64(s.tol);
-    w.usize(s.max_outer);
-    w.f64(s.t_max_factor);
-    w.f64(s.fd_step);
-    w.f64(s.seed_jitter);
-    w.f64(s.root.x_tol);
-    w.f64(s.root.f_tol);
-    w.usize(s.root.max_iter);
+    /// The cell count is `apps · machines` (saturating), bounded like any
+    /// other collection count before allocation.
+    #[inline]
+    fn decode(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        let apps = usize::decode(r)?;
+        let machines = usize::decode(r)?;
+        let cells = apps.saturating_mul(machines) as u64;
+        let limit = (r.remaining() / 8) as u64;
+        if cells > limit {
+            return Err(DecodeError::BadLength {
+                what: "ETC matrix",
+                len: cells,
+                limit,
+            });
+        }
+        let mut values = Vec::with_capacity(cells as usize);
+        for _ in 0..cells {
+            values.push(f64::decode(r)?);
+        }
+        Ok(EtcCells {
+            apps,
+            machines,
+            values,
+        })
+    }
 }
 
-fn decode_options(r: &mut PayloadReader<'_>) -> Result<RadiusOptions, DecodeError> {
-    let norm = match r.u8()? {
-        1 => Norm::L1,
-        2 => Norm::L2,
-        3 => Norm::LInf,
-        4 => Norm::WeightedL2(r.f64_vec("norm weights")?),
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "Norm",
-                tag: tag as u64,
-            })
-        }
-    };
-    // Field order mirrors `encode_options`; each read is sequential, so
-    // bind locals first rather than build the struct literal in place.
-    let tol = r.f64()?;
-    let max_outer = r.u64()? as usize;
-    let t_max_factor = r.f64()?;
-    let fd_step = r.f64()?;
-    let seed_jitter = r.f64()?;
-    let x_tol = r.f64()?;
-    let f_tol = r.f64()?;
-    let max_iter = r.u64()? as usize;
-    let mut solver = SolverOptions {
-        tol,
-        max_outer,
-        t_max_factor,
-        fd_step,
-        seed_jitter,
-        ..SolverOptions::default()
-    };
-    solver.root.x_tol = x_tol;
-    solver.root.f_tol = f_tol;
-    solver.root.max_iter = max_iter;
-    Ok(RadiusOptions { norm, solver })
-}
+wire_enum!(Norm, "Norm" {
+    1 => L1,
+    2 => L2,
+    3 => LInf,
+    4 => WeightedL2(weights: Vec<f64>),
+});
+
+wire_struct!(RootOptions {
+    x_tol: f64,
+    f_tol: f64,
+    max_iter: usize
+});
+
+wire_struct!(SolverOptions {
+    tol: f64,
+    max_outer: usize,
+    t_max_factor: f64,
+    fd_step: f64,
+    seed_jitter: f64,
+    root: RootOptions,
+});
+
+wire_struct!(RadiusOptions {
+    norm: Norm,
+    solver: SolverOptions
+});
+
+wire_enum!(CurveGrid, "CurveGrid" {
+    1 => Explicit(levels: Vec<f64>),
+    2 => Adaptive { tau_lo: f64, tau_hi: f64, max_depth: u32, rho_resolution: f64 },
+});
+
+wire_struct!(CurveSpec { grid: CurveGrid });
+
+wire_enum!(EvalKind, "EvalKind" {
+    1 => Verdict,
+    2 => Origins(origins: Vec<VecN>),
+    3 => Moves(moves: Vec<(usize, usize)>),
+    4 => Curve(spec: CurveSpec),
+});
 
 /// A structurally valid request payload, not yet semantically validated.
 /// [`RequestPayload::into_request`] performs the semantic checks (positive
@@ -330,9 +524,7 @@ pub struct RequestPayload {
     /// none. Read by the server *before* [`RequestPayload::into_request`]
     /// so expired requests can be dropped without evaluation.
     pub deadline_us: u64,
-    apps: usize,
-    machines: usize,
-    etc_values: Vec<f64>,
+    etc: EtcCells,
     mapping_machines: usize,
     assignment: Vec<usize>,
     tau: f64,
@@ -340,17 +532,38 @@ pub struct RequestPayload {
     kind: EvalKind,
 }
 
+wire_struct!(RequestPayload {
+    id: u64,
+    deadline_us: u64,
+    etc: EtcCells,
+    mapping_machines: usize,
+    assignment: Vec<usize>,
+    tau: f64,
+    opts: RadiusOptions,
+    kind: EvalKind,
+});
+
 impl RequestPayload {
+    /// The payload carrying `req` with a relative deadline of
+    /// `deadline_us` microseconds (`0` = none).
+    pub fn new(req: &EvalRequest, deadline_us: u64) -> RequestPayload {
+        let s = &req.scenario;
+        RequestPayload {
+            id: req.id,
+            deadline_us,
+            etc: EtcCells::of(s.etc()),
+            mapping_machines: s.mapping().machines(),
+            assignment: s.mapping().assignment().to_vec(),
+            tau: s.tau(),
+            opts: s.opts().clone(),
+            kind: req.kind.clone(),
+        }
+    }
+
     /// Semantic validation: builds the [`EvalRequest`] or explains why the
     /// payload can never be served (the server answers with a permanent
     /// [`WireError::Invalid`]). Never panics, whatever the field values.
     pub fn into_request(self) -> Result<EvalRequest, String> {
-        if self.apps == 0 || self.machines == 0 {
-            return Err(format!(
-                "empty ETC matrix ({}x{})",
-                self.apps, self.machines
-            ));
-        }
         // Empty kind bodies are well-formed frames but can never be served:
         // answering them with zero verdicts would be indistinguishable from
         // a served-but-empty response, so they are rejected typed here (and
@@ -369,12 +582,7 @@ impl RequestPayload {
             }
             _ => {}
         }
-        let rows: Vec<Vec<f64>> = self
-            .etc_values
-            .chunks(self.machines)
-            .map(|c| c.to_vec())
-            .collect();
-        let etc = EtcMatrix::try_from_rows(rows).map_err(|e| e.to_string())?;
+        let etc = self.etc.into_matrix()?;
         if self.mapping_machines == 0 {
             return Err("mapping declares zero machines".into());
         }
@@ -402,449 +610,115 @@ impl RequestPayload {
     }
 }
 
+/// Encodes a full request with no deadline: id, scenario by value,
+/// evaluation kind.
+pub fn encode_request(req: &EvalRequest) -> Vec<u8> {
+    encode(&RequestPayload::new(req, 0))
+}
+
 /// Decodes a request payload. Structural errors (truncation, bad tags,
 /// implausible lengths) are [`DecodeError`]s; semantic errors are deferred
 /// to [`RequestPayload::into_request`].
 pub fn decode_request(payload: &[u8]) -> Result<RequestPayload, DecodeError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let deadline_us = r.u64()?;
-    let apps = r.u64()? as usize;
-    let machines = r.u64()? as usize;
-    let cells = apps.checked_mul(machines).unwrap_or(u64::MAX as usize);
-    let limit = (r.remaining() / 8) as u64;
-    if cells as u64 > limit {
-        return Err(DecodeError::BadLength {
-            what: "ETC matrix",
-            len: cells as u64,
-            limit,
-        });
-    }
-    let etc_values: Vec<f64> = (0..cells).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let mapping_machines = r.u64()? as usize;
-    let n_assign = r.count("assignment", 8)?;
-    let assignment: Vec<usize> = (0..n_assign)
-        .map(|_| r.u64().map(|v| v as usize))
-        .collect::<Result<_, _>>()?;
-    let tau = r.f64()?;
-    let opts = decode_options(&mut r)?;
-    let kind = match r.u8()? {
-        KIND_VERDICT => EvalKind::Verdict,
-        KIND_ORIGINS => {
-            let n = r.count("origins", 8)?;
-            let mut origins = Vec::with_capacity(n);
-            for _ in 0..n {
-                origins.push(VecN::new(r.f64_vec("origin components")?));
-            }
-            EvalKind::Origins(origins)
-        }
-        KIND_MOVES => {
-            let n = r.count("moves", 16)?;
-            let mut moves = Vec::with_capacity(n);
-            for _ in 0..n {
-                let app = r.u64()? as usize;
-                let dst = r.u64()? as usize;
-                moves.push((app, dst));
-            }
-            EvalKind::Moves(moves)
-        }
-        KIND_CURVE => {
-            let grid = match r.u8()? {
-                1 => CurveGrid::Explicit(r.f64_vec("curve levels")?),
-                2 => {
-                    let tau_lo = r.f64()?;
-                    let tau_hi = r.f64()?;
-                    let max_depth = r.u32()?;
-                    let rho_resolution = r.f64()?;
-                    CurveGrid::Adaptive {
-                        tau_lo,
-                        tau_hi,
-                        max_depth,
-                        rho_resolution,
-                    }
-                }
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "CurveGrid",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            EvalKind::Curve(CurveSpec { grid })
-        }
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "EvalKind",
-                tag: tag as u64,
-            })
-        }
-    };
-    r.finish()?;
-    Ok(RequestPayload {
-        id,
-        deadline_us,
-        apps,
-        machines,
-        etc_values,
-        mapping_machines,
-        assignment,
-        tau,
-        opts,
-        kind,
-    })
+    decode(payload)
 }
 
 // ---------------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------------
 
+wire_tags!(Option<CacheOutcome>, "CacheOutcome" {
+    0 => None,
+    1 => Some(CacheOutcome::Hit),
+    2 => Some(CacheOutcome::Compiled),
+    3 => Some(CacheOutcome::Coalesced),
+});
+
+wire_tags!(Disposition, "Disposition" {
+    0 => Disposition::Full,
+    1 => Disposition::Brownout,
+    2 => Disposition::DeadlineExceeded,
+});
+
+wire_tags!(VerdictKind, "VerdictKind" {
+    1 => VerdictKind::Exact,
+    2 => VerdictKind::Bounded,
+    3 => VerdictKind::Infeasible,
+    4 => VerdictKind::Failed,
+});
+
+wire_tags!(Option<Bound>, "Bound" {
+    0 => None,
+    1 => Some(Bound::Min),
+    2 => Some(Bound::Max),
+});
+
+wire_tags!(RadiusMethod, "RadiusMethod" {
+    1 => RadiusMethod::Analytic,
+    2 => RadiusMethod::Numeric,
+    3 => RadiusMethod::Unbounded,
+});
+
+wire_tags!(DegradeReason, "DegradeReason" {
+    1 => DegradeReason::IterationCap,
+    2 => DegradeReason::BudgetExhausted,
+});
+
+wire_struct!(RadiusResult {
+    radius: f64,
+    boundary_point: Option<VecN>,
+    bound: Option<Bound>,
+    violated: bool,
+    method: RadiusMethod,
+    iterations: usize,
+    f_evals: u64,
+});
+
+wire_enum!(FailReason, "FailReason" {
+    1 => NonFiniteInput { index: usize },
+    2 => NonFiniteImpact,
+    3 => DimensionMismatch { got: usize, expected: usize },
+    4 => Solver(msg: String),
+    5 => Panic(msg: String),
+});
+
+wire_enum!(RadiusVerdict, "RadiusVerdict" {
+    1 => Exact(result: RadiusResult),
+    2 => Bounded { lo: f64, hi: f64, reason: DegradeReason, restarts: usize },
+    3 => Infeasible,
+    4 => Failed(reason: FailReason),
+});
+
+wire_struct!(PlanVerdict {
+    metric_lo: f64,
+    metric_hi: f64,
+    binding: Option<usize>,
+    kind: VerdictKind,
+    radii: Vec<RadiusVerdict>,
+});
+
+wire_struct!(CurveMeta { taus: Vec<f64>, monotone: bool });
+
+wire_struct!(EvalResponse {
+    id: u64,
+    shard: usize,
+    attempts: u32,
+    cache: Option<CacheOutcome>,
+    disposition: Disposition,
+    verdicts: Vec<PlanVerdict>,
+    curve: Option<CurveMeta>,
+});
+
 /// Encodes a full response, bit-for-bit: every `f64` travels as its IEEE
 /// bit pattern.
 pub fn encode_response(resp: &EvalResponse) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u64(resp.id);
-    w.usize(resp.shard);
-    w.u32(resp.attempts);
-    match resp.cache {
-        None => w.u8(0),
-        Some(CacheOutcome::Hit) => w.u8(1),
-        Some(CacheOutcome::Compiled) => w.u8(2),
-        Some(CacheOutcome::Coalesced) => w.u8(3),
-    }
-    w.u8(match resp.disposition {
-        Disposition::Full => 0,
-        Disposition::Brownout => 1,
-        Disposition::DeadlineExceeded => 2,
-    });
-    w.usize(resp.verdicts.len());
-    for v in &resp.verdicts {
-        encode_verdict(&mut w, v);
-    }
-    match &resp.curve {
-        None => w.u8(0),
-        Some(meta) => {
-            w.u8(1);
-            w.usize(meta.taus.len());
-            for &t in &meta.taus {
-                w.f64(t);
-            }
-            w.u8(meta.monotone as u8);
-        }
-    }
-    w.finish()
-}
-
-fn encode_verdict(w: &mut PayloadWriter, v: &PlanVerdict) {
-    w.f64(v.metric_lo);
-    w.f64(v.metric_hi);
-    match v.binding {
-        None => w.u8(0),
-        Some(b) => {
-            w.u8(1);
-            w.usize(b);
-        }
-    }
-    w.u8(match v.kind {
-        fepia_core::VerdictKind::Exact => 1,
-        fepia_core::VerdictKind::Bounded => 2,
-        fepia_core::VerdictKind::Infeasible => 3,
-        fepia_core::VerdictKind::Failed => 4,
-    });
-    w.usize(v.radii.len());
-    for r in &v.radii {
-        encode_radius_verdict(w, r);
-    }
-}
-
-fn encode_radius_verdict(w: &mut PayloadWriter, r: &RadiusVerdict) {
-    match r {
-        RadiusVerdict::Exact(res) => {
-            w.u8(1);
-            w.f64(res.radius);
-            match &res.boundary_point {
-                None => w.u8(0),
-                Some(p) => {
-                    w.u8(1);
-                    w.usize(p.dim());
-                    for &x in p.as_slice() {
-                        w.f64(x);
-                    }
-                }
-            }
-            w.u8(match res.bound {
-                None => 0,
-                Some(Bound::Min) => 1,
-                Some(Bound::Max) => 2,
-            });
-            w.u8(res.violated as u8);
-            w.u8(match res.method {
-                RadiusMethod::Analytic => 1,
-                RadiusMethod::Numeric => 2,
-                RadiusMethod::Unbounded => 3,
-            });
-            w.usize(res.iterations);
-            w.u64(res.f_evals);
-        }
-        RadiusVerdict::Bounded {
-            lo,
-            hi,
-            reason,
-            restarts,
-        } => {
-            w.u8(2);
-            w.f64(*lo);
-            w.f64(*hi);
-            w.u8(match reason {
-                DegradeReason::IterationCap => 1,
-                DegradeReason::BudgetExhausted => 2,
-            });
-            w.usize(*restarts);
-        }
-        RadiusVerdict::Infeasible => w.u8(3),
-        RadiusVerdict::Failed(reason) => {
-            w.u8(4);
-            encode_fail_reason(w, reason);
-        }
-    }
-}
-
-fn encode_fail_reason(w: &mut PayloadWriter, reason: &FailReason) {
-    match reason {
-        FailReason::NonFiniteInput { index } => {
-            w.u8(1);
-            w.usize(*index);
-        }
-        FailReason::NonFiniteImpact => w.u8(2),
-        FailReason::DimensionMismatch { got, expected } => {
-            w.u8(3);
-            w.usize(*got);
-            w.usize(*expected);
-        }
-        FailReason::Solver(msg) => {
-            w.u8(4);
-            w.str(msg);
-        }
-        FailReason::Panic(msg) => {
-            w.u8(5);
-            w.str(msg);
-        }
-    }
+    encode(resp)
 }
 
 /// Decodes a response payload into the same [`EvalResponse`] an in-process
 /// caller would have received (bit-for-bit `f64` fields).
 pub fn decode_response(payload: &[u8]) -> Result<EvalResponse, DecodeError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let shard = r.u64()? as usize;
-    let attempts = r.u32()?;
-    let cache = match r.u8()? {
-        0 => None,
-        1 => Some(CacheOutcome::Hit),
-        2 => Some(CacheOutcome::Compiled),
-        3 => Some(CacheOutcome::Coalesced),
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "CacheOutcome",
-                tag: tag as u64,
-            })
-        }
-    };
-    let disposition = match r.u8()? {
-        0 => Disposition::Full,
-        1 => Disposition::Brownout,
-        2 => Disposition::DeadlineExceeded,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "Disposition",
-                tag: tag as u64,
-            })
-        }
-    };
-    let n = r.count("verdicts", 18)?;
-    let mut verdicts = Vec::with_capacity(n);
-    for _ in 0..n {
-        verdicts.push(decode_verdict(&mut r)?);
-    }
-    let curve = match r.u8()? {
-        0 => None,
-        1 => {
-            let taus = r.f64_vec("curve taus")?;
-            let monotone = match r.u8()? {
-                0 => false,
-                1 => true,
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "monotone flag",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            Some(CurveMeta { taus, monotone })
-        }
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "curve option",
-                tag: tag as u64,
-            })
-        }
-    };
-    r.finish()?;
-    Ok(EvalResponse {
-        id,
-        shard,
-        cache,
-        verdicts,
-        attempts,
-        disposition,
-        curve,
-    })
-}
-
-fn decode_verdict(r: &mut PayloadReader<'_>) -> Result<PlanVerdict, DecodeError> {
-    let metric_lo = r.f64()?;
-    let metric_hi = r.f64()?;
-    let binding = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()? as usize),
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "binding option",
-                tag: tag as u64,
-            })
-        }
-    };
-    let kind = match r.u8()? {
-        1 => fepia_core::VerdictKind::Exact,
-        2 => fepia_core::VerdictKind::Bounded,
-        3 => fepia_core::VerdictKind::Infeasible,
-        4 => fepia_core::VerdictKind::Failed,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "VerdictKind",
-                tag: tag as u64,
-            })
-        }
-    };
-    let n = r.count("radii", 1)?;
-    let mut radii = Vec::with_capacity(n);
-    for _ in 0..n {
-        radii.push(decode_radius_verdict(r)?);
-    }
-    Ok(PlanVerdict {
-        radii,
-        metric_lo,
-        metric_hi,
-        binding,
-        kind,
-    })
-}
-
-fn decode_radius_verdict(r: &mut PayloadReader<'_>) -> Result<RadiusVerdict, DecodeError> {
-    match r.u8()? {
-        1 => {
-            let radius = r.f64()?;
-            let boundary_point = match r.u8()? {
-                0 => None,
-                1 => Some(VecN::new(r.f64_vec("boundary point")?)),
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "boundary option",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            let bound = match r.u8()? {
-                0 => None,
-                1 => Some(Bound::Min),
-                2 => Some(Bound::Max),
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "Bound",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            let violated = match r.u8()? {
-                0 => false,
-                1 => true,
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "violated flag",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            let method = match r.u8()? {
-                1 => RadiusMethod::Analytic,
-                2 => RadiusMethod::Numeric,
-                3 => RadiusMethod::Unbounded,
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "RadiusMethod",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            let iterations = r.u64()? as usize;
-            let f_evals = r.u64()?;
-            Ok(RadiusVerdict::Exact(RadiusResult {
-                radius,
-                boundary_point,
-                bound,
-                violated,
-                method,
-                iterations,
-                f_evals,
-            }))
-        }
-        2 => {
-            let lo = r.f64()?;
-            let hi = r.f64()?;
-            let reason = match r.u8()? {
-                1 => DegradeReason::IterationCap,
-                2 => DegradeReason::BudgetExhausted,
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "DegradeReason",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            let restarts = r.u64()? as usize;
-            Ok(RadiusVerdict::Bounded {
-                lo,
-                hi,
-                reason,
-                restarts,
-            })
-        }
-        3 => Ok(RadiusVerdict::Infeasible),
-        4 => Ok(RadiusVerdict::Failed(decode_fail_reason(r)?)),
-        tag => Err(DecodeError::BadTag {
-            what: "RadiusVerdict",
-            tag: tag as u64,
-        }),
-    }
-}
-
-fn decode_fail_reason(r: &mut PayloadReader<'_>) -> Result<FailReason, DecodeError> {
-    match r.u8()? {
-        1 => Ok(FailReason::NonFiniteInput {
-            index: r.u64()? as usize,
-        }),
-        2 => Ok(FailReason::NonFiniteImpact),
-        3 => Ok(FailReason::DimensionMismatch {
-            got: r.u64()? as usize,
-            expected: r.u64()? as usize,
-        }),
-        4 => Ok(FailReason::Solver(r.str("solver message")?)),
-        5 => Ok(FailReason::Panic(r.str("panic message")?)),
-        tag => Err(DecodeError::BadTag {
-            what: "FailReason",
-            tag: tag as u64,
-        }),
-    }
+    decode(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -875,155 +749,49 @@ impl StatsReply {
     }
 }
 
-/// Encodes a stats poll: just the echo id.
-pub fn encode_stats_request(id: u64) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u64(id);
-    w.finish()
-}
+wire_struct!(ShardStatsSnapshot {
+    submitted: u64,
+    completed: u64,
+    shed_full: u64,
+    shed_shutdown: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_coalesced: u64,
+    worker_panics: u64,
+    busy_ns: u64,
+    deadline_expired: u64,
+    brownout_evals: u64,
+});
 
-/// Decodes a stats poll back to its id.
-pub fn decode_stats_request(payload: &[u8]) -> Result<u64, DecodeError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    r.finish()?;
-    Ok(id)
-}
+wire_struct!(NetStatsSnapshot {
+    connections: u64,
+    frames_read: u64,
+    frames_written: u64,
+    decode_errors: u64,
+    overloaded: u64,
+    invalid: u64,
+    chaos_drops: u64,
+    max_pipeline_depth: u64,
+    admission_brownout: u64,
+    admission_shed: u64,
+});
 
-/// Field count per encoded [`ShardStatsSnapshot`] (all `u64`).
-const SHARD_STAT_FIELDS: usize = 11;
-
-/// Encodes a [`StatsReply`]: id, shard count, 11 `u64` counters per shard,
-/// then the 10 `u64` net counters.
-pub fn encode_stats_reply(reply: &StatsReply) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u64(reply.id);
-    w.usize(reply.shards.len());
-    for s in &reply.shards {
-        w.u64(s.submitted);
-        w.u64(s.completed);
-        w.u64(s.shed_full);
-        w.u64(s.shed_shutdown);
-        w.u64(s.cache_hits);
-        w.u64(s.cache_misses);
-        w.u64(s.cache_coalesced);
-        w.u64(s.worker_panics);
-        w.u64(s.busy_ns);
-        w.u64(s.deadline_expired);
-        w.u64(s.brownout_evals);
-    }
-    let n = &reply.net;
-    w.u64(n.connections);
-    w.u64(n.frames_read);
-    w.u64(n.frames_written);
-    w.u64(n.decode_errors);
-    w.u64(n.overloaded);
-    w.u64(n.invalid);
-    w.u64(n.chaos_drops);
-    w.u64(n.max_pipeline_depth);
-    w.u64(n.admission_brownout);
-    w.u64(n.admission_shed);
-    w.finish()
-}
-
-/// Decodes a [`StatsReply`]. Total: hostile counts fail typed before any
-/// allocation, like every other collection on the wire.
-pub fn decode_stats_reply(payload: &[u8]) -> Result<StatsReply, DecodeError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let n = r.count("shard stats", SHARD_STAT_FIELDS * 8)?;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        shards.push(ShardStatsSnapshot {
-            submitted: r.u64()?,
-            completed: r.u64()?,
-            shed_full: r.u64()?,
-            shed_shutdown: r.u64()?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
-            cache_coalesced: r.u64()?,
-            worker_panics: r.u64()?,
-            busy_ns: r.u64()?,
-            deadline_expired: r.u64()?,
-            brownout_evals: r.u64()?,
-        });
-    }
-    let net = NetStatsSnapshot {
-        connections: r.u64()?,
-        frames_read: r.u64()?,
-        frames_written: r.u64()?,
-        decode_errors: r.u64()?,
-        overloaded: r.u64()?,
-        invalid: r.u64()?,
-        chaos_drops: r.u64()?,
-        max_pipeline_depth: r.u64()?,
-        admission_brownout: r.u64()?,
-        admission_shed: r.u64()?,
-    };
-    r.finish()?;
-    Ok(StatsReply { id, shards, net })
-}
+wire_struct!(StatsReply {
+    id: u64,
+    shards: Vec<ShardStatsSnapshot>,
+    net: NetStatsSnapshot,
+});
 
 // ---------------------------------------------------------------------------
 // Optimizer jobs
 // ---------------------------------------------------------------------------
 
-const JOB_H_ANNEALING: u8 = 1;
-const JOB_H_TABU: u8 = 2;
-const JOB_H_GENETIC: u8 = 3;
-const JOB_H_ROBUST_GREEDY: u8 = 4;
-
-/// Encodes a job submission: request id, the ETC by value, τ, the seed,
-/// population/batch/thread knobs, and the tagged heuristic portfolio.
-pub fn encode_submit_job(id: u64, spec: &JobSpec) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u64(id);
-    w.usize(spec.etc.apps());
-    w.usize(spec.etc.machines());
-    for &v in spec.etc.values() {
-        w.f64(v);
-    }
-    w.f64(spec.tau);
-    w.u64(spec.seed);
-    w.u32(spec.population);
-    w.u32(spec.batches);
-    w.u32(spec.threads);
-    w.usize(spec.heuristics.len());
-    for h in &spec.heuristics {
-        match h {
-            JobHeuristic::Annealing {
-                iterations,
-                initial_temperature,
-                cooling,
-            } => {
-                w.u8(JOB_H_ANNEALING);
-                w.u32(*iterations);
-                w.f64(*initial_temperature);
-                w.f64(*cooling);
-            }
-            JobHeuristic::Tabu {
-                iterations,
-                tabu_len,
-            } => {
-                w.u8(JOB_H_TABU);
-                w.u32(*iterations);
-                w.u32(*tabu_len);
-            }
-            JobHeuristic::Genetic {
-                population,
-                generations,
-                mutation_rate,
-            } => {
-                w.u8(JOB_H_GENETIC);
-                w.u32(*population);
-                w.u32(*generations);
-                w.f64(*mutation_rate);
-            }
-            JobHeuristic::RobustGreedy => w.u8(JOB_H_ROBUST_GREEDY),
-        }
-    }
-    w.finish()
-}
+wire_enum!(JobHeuristic, "JobHeuristic" {
+    1 => Annealing { iterations: u32, initial_temperature: f64, cooling: f64 },
+    2 => Tabu { iterations: u32, tabu_len: u32 },
+    3 => Genetic { population: u32, generations: u32, mutation_rate: f64 },
+    4 => RobustGreedy,
+});
 
 /// A structurally valid job submission, not yet semantically validated —
 /// the job-layer analogue of [`RequestPayload`].
@@ -1034,9 +802,7 @@ pub fn encode_submit_job(id: u64, spec: &JobSpec) -> Vec<u8> {
 pub struct SubmitJobPayload {
     /// Client-chosen request id, echoed in the [`JobReply`].
     pub id: u64,
-    apps: usize,
-    machines: usize,
-    etc_values: Vec<f64>,
+    etc: EtcCells,
     tau: f64,
     seed: u64,
     population: u32,
@@ -1045,25 +811,38 @@ pub struct SubmitJobPayload {
     heuristics: Vec<JobHeuristic>,
 }
 
+wire_struct!(SubmitJobPayload {
+    id: u64,
+    etc: EtcCells,
+    tau: f64,
+    seed: u64,
+    population: u32,
+    batches: u32,
+    threads: u32,
+    heuristics: Vec<JobHeuristic>,
+});
+
 impl SubmitJobPayload {
+    /// The payload submitting `spec` under request id `id`.
+    pub fn new(id: u64, spec: &JobSpec) -> SubmitJobPayload {
+        SubmitJobPayload {
+            id,
+            etc: EtcCells::of(&spec.etc),
+            tau: spec.tau,
+            seed: spec.seed,
+            population: spec.population,
+            batches: spec.batches,
+            threads: spec.threads,
+            heuristics: spec.heuristics.clone(),
+        }
+    }
+
     /// Semantic validation: builds the [`JobSpec`] or explains why the
     /// payload can never be admitted (the server answers with a permanent
     /// [`WireError::Invalid`]). Never panics, whatever the field values.
     pub fn into_spec(self) -> Result<JobSpec, String> {
-        if self.apps == 0 || self.machines == 0 {
-            return Err(format!(
-                "empty ETC matrix ({}x{})",
-                self.apps, self.machines
-            ));
-        }
-        let rows: Vec<Vec<f64>> = self
-            .etc_values
-            .chunks(self.machines)
-            .map(|c| c.to_vec())
-            .collect();
-        let etc = EtcMatrix::try_from_rows(rows).map_err(|e| e.to_string())?;
         let spec = JobSpec {
-            etc: Arc::new(etc),
+            etc: Arc::new(self.etc.into_matrix()?),
             tau: self.tau,
             seed: self.seed,
             population: self.population,
@@ -1078,105 +857,6 @@ impl SubmitJobPayload {
     }
 }
 
-/// Decodes a job submission. Structural errors are [`DecodeError`]s;
-/// semantic errors are deferred to [`SubmitJobPayload::into_spec`].
-pub fn decode_submit_job(payload: &[u8]) -> Result<SubmitJobPayload, DecodeError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let apps = r.u64()? as usize;
-    let machines = r.u64()? as usize;
-    let cells = apps.checked_mul(machines).unwrap_or(u64::MAX as usize);
-    let limit = (r.remaining() / 8) as u64;
-    if cells as u64 > limit {
-        return Err(DecodeError::BadLength {
-            what: "job ETC matrix",
-            len: cells as u64,
-            limit,
-        });
-    }
-    let etc_values: Vec<f64> = (0..cells).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let tau = r.f64()?;
-    let seed = r.u64()?;
-    let population = r.u32()?;
-    let batches = r.u32()?;
-    let threads = r.u32()?;
-    let n = r.count("job heuristics", 1)?;
-    let mut heuristics = Vec::with_capacity(n);
-    for _ in 0..n {
-        heuristics.push(match r.u8()? {
-            JOB_H_ANNEALING => JobHeuristic::Annealing {
-                iterations: r.u32()?,
-                initial_temperature: r.f64()?,
-                cooling: r.f64()?,
-            },
-            JOB_H_TABU => JobHeuristic::Tabu {
-                iterations: r.u32()?,
-                tabu_len: r.u32()?,
-            },
-            JOB_H_GENETIC => JobHeuristic::Genetic {
-                population: r.u32()?,
-                generations: r.u32()?,
-                mutation_rate: r.f64()?,
-            },
-            JOB_H_ROBUST_GREEDY => JobHeuristic::RobustGreedy,
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "JobHeuristic",
-                    tag: tag as u64,
-                })
-            }
-        });
-    }
-    r.finish()?;
-    Ok(SubmitJobPayload {
-        id,
-        apps,
-        machines,
-        etc_values,
-        tau,
-        seed,
-        population,
-        batches,
-        threads,
-        heuristics,
-    })
-}
-
-fn encode_job_ref(id: u64, job: u64) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u64(id);
-    w.u64(job);
-    w.finish()
-}
-
-fn decode_job_ref(payload: &[u8]) -> Result<(u64, u64), DecodeError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let job = r.u64()?;
-    r.finish()?;
-    Ok((id, job))
-}
-
-/// Encodes a job status poll: `(request id, job id)`.
-pub fn encode_job_poll(id: u64, job: u64) -> Vec<u8> {
-    encode_job_ref(id, job)
-}
-
-/// Decodes a job status poll back to `(request id, job id)`.
-pub fn decode_job_poll(payload: &[u8]) -> Result<(u64, u64), DecodeError> {
-    decode_job_ref(payload)
-}
-
-/// Encodes a job cancellation: `(request id, job id)`.
-pub fn encode_job_cancel(id: u64, job: u64) -> Vec<u8> {
-    encode_job_ref(id, job)
-}
-
-/// Decodes a job cancellation back to `(request id, job id)`.
-pub fn decode_job_cancel(payload: &[u8]) -> Result<(u64, u64), DecodeError> {
-    decode_job_ref(payload)
-}
-
 /// The server's one answer shape for every job operation (submit, poll,
 /// cancel): the request id plus the job's current [`JobSnapshot`]. Every
 /// `f64` in the front travels as its IEEE bit pattern, so a polled front
@@ -1189,117 +869,38 @@ pub struct JobReply {
     pub snapshot: JobSnapshot,
 }
 
-/// Encodes a [`JobReply`].
-pub fn encode_job_reply(reply: &JobReply) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    let s = &reply.snapshot;
-    w.u64(reply.id);
-    w.u64(s.job);
-    w.u8(match s.state {
-        JobState::Running => 1,
-        JobState::Done => 2,
-        JobState::Cancelled => 3,
-        JobState::Failed => 4,
-    });
-    match &s.error {
-        None => w.u8(0),
-        Some(msg) => {
-            w.u8(1);
-            w.str(msg);
-        }
-    }
-    w.u32(s.batches_done);
-    w.u32(s.batches_total);
-    w.u64(s.candidates_done);
-    w.u64(s.candidates_total);
-    w.u64(s.evals_done);
-    w.u64(s.evals_total);
-    w.usize(s.front.len());
-    for p in &s.front {
-        w.u64(p.index);
-        w.f64(p.makespan);
-        w.f64(p.metric);
-        w.str(&p.heuristic);
-        w.usize(p.assignment.len());
-        for &j in &p.assignment {
-            w.usize(j);
-        }
-    }
-    w.finish()
-}
+wire_tags!(JobState, "JobState" {
+    1 => JobState::Running,
+    2 => JobState::Done,
+    3 => JobState::Cancelled,
+    4 => JobState::Failed,
+});
 
-/// Decodes a [`JobReply`]. Total: hostile counts fail typed before any
-/// allocation, like every other collection on the wire.
-pub fn decode_job_reply(payload: &[u8]) -> Result<JobReply, DecodeError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let job = r.u64()?;
-    let state = match r.u8()? {
-        1 => JobState::Running,
-        2 => JobState::Done,
-        3 => JobState::Cancelled,
-        4 => JobState::Failed,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "JobState",
-                tag: tag as u64,
-            })
-        }
-    };
-    let error = match r.u8()? {
-        0 => None,
-        1 => Some(r.str("job error message")?),
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "job error option",
-                tag: tag as u64,
-            })
-        }
-    };
-    let batches_done = r.u32()?;
-    let batches_total = r.u32()?;
-    let candidates_done = r.u64()?;
-    let candidates_total = r.u64()?;
-    let evals_done = r.u64()?;
-    let evals_total = r.u64()?;
-    // Minimum encoded point: index + makespan + metric (8 each), empty
-    // heuristic string (8), empty assignment (8).
-    let n = r.count("front points", 40)?;
-    let mut front = Vec::with_capacity(n);
-    for _ in 0..n {
-        let index = r.u64()?;
-        let makespan = r.f64()?;
-        let metric = r.f64()?;
-        let heuristic = r.str("front heuristic name")?;
-        let n_assign = r.count("front assignment", 8)?;
-        let assignment: Vec<usize> = (0..n_assign)
-            .map(|_| r.u64().map(|v| v as usize))
-            .collect::<Result<_, _>>()?;
-        front.push(fepia_mapping::FrontPoint {
-            index,
-            makespan,
-            metric,
-            heuristic,
-            assignment,
-        });
-    }
-    r.finish()?;
-    Ok(JobReply {
-        id,
-        snapshot: JobSnapshot {
-            job,
-            state,
-            error,
-            batches_done,
-            batches_total,
-            candidates_done,
-            candidates_total,
-            evals_done,
-            evals_total,
-            front,
-        },
-    })
-}
+wire_struct!(FrontPoint {
+    index: u64,
+    makespan: f64,
+    metric: f64,
+    heuristic: String,
+    assignment: Vec<usize>,
+});
+
+wire_struct!(JobSnapshot {
+    job: u64,
+    state: JobState,
+    error: Option<String>,
+    batches_done: u32,
+    batches_total: u32,
+    candidates_done: u64,
+    candidates_total: u64,
+    evals_done: u64,
+    evals_total: u64,
+    front: Vec<FrontPoint>,
+});
+
+wire_struct!(JobReply {
+    id: u64,
+    snapshot: JobSnapshot
+});
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -1337,63 +938,22 @@ impl std::fmt::Display for WireError {
     }
 }
 
-/// Encodes an error payload: the echoed request id plus the typed refusal.
-pub fn encode_error(id: u64, err: &WireError) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u64(id);
-    match err {
-        WireError::Overloaded { shard, reason } => {
-            w.u8(1);
-            w.u64(*shard);
-            w.u8(match reason {
-                ShedReason::QueueFull => 1,
-                ShedReason::ShuttingDown => 2,
-            });
-        }
-        WireError::Invalid(msg) => {
-            w.u8(2);
-            w.str(msg);
-        }
-    }
-    w.finish()
-}
+wire_tags!(ShedReason, "ShedReason" {
+    1 => ShedReason::QueueFull,
+    2 => ShedReason::ShuttingDown,
+});
 
-/// Decodes an error payload into `(request id, refusal)`.
-pub fn decode_error(payload: &[u8]) -> Result<(u64, WireError), DecodeError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let err = match r.u8()? {
-        1 => {
-            let shard = r.u64()?;
-            let reason = match r.u8()? {
-                1 => ShedReason::QueueFull,
-                2 => ShedReason::ShuttingDown,
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "ShedReason",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            WireError::Overloaded { shard, reason }
-        }
-        2 => WireError::Invalid(r.str("invalid-request message")?),
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "WireError",
-                tag: tag as u64,
-            })
-        }
-    };
-    r.finish()?;
-    Ok((id, err))
-}
+wire_enum!(WireError, "WireError" {
+    1 => Overloaded { shard: u64, reason: ShedReason },
+    2 => Invalid(msg: String),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fepia_core::{RadiusOptions, VerdictKind};
     use fepia_serve::workload::{request, scenario_pool, WorkloadSpec};
+
+    const KIND_ORIGINS: u8 = 2;
 
     fn sample_requests() -> Vec<EvalRequest> {
         let spec = WorkloadSpec::default();
@@ -1482,7 +1042,7 @@ mod tests {
         payload.assignment[0] = usize::MAX;
         assert!(payload.clone().into_request().is_err());
         payload.assignment[0] = 0;
-        payload.etc_values[0] = -3.0;
+        payload.etc.values[0] = -3.0;
         assert!(payload.into_request().is_err());
     }
 
@@ -1644,11 +1204,11 @@ mod tests {
             scenario: Arc::clone(&pool[0]),
             kind: EvalKind::Verdict,
         };
-        let bytes = encode_request_with_deadline(&req, 2_500);
+        let bytes = encode(&RequestPayload::new(&req, 2_500));
         let payload = decode_request(&bytes).unwrap();
         assert_eq!(payload.deadline_us, 2_500);
         // The no-deadline encoder is exactly deadline 0.
-        assert_eq!(encode_request(&req), encode_request_with_deadline(&req, 0));
+        assert_eq!(encode_request(&req), encode(&RequestPayload::new(&req, 0)));
         assert_eq!(
             decode_request(&encode_request(&req)).unwrap().deadline_us,
             0
@@ -1668,8 +1228,8 @@ mod tests {
             },
             WireError::Invalid("move 3 out of range".into()),
         ] {
-            let bytes = encode_error(41, &err);
-            assert_eq!(decode_error(&bytes).unwrap(), (41, err));
+            let bytes = encode(&(41u64, err.clone()));
+            assert_eq!(decode::<(u64, WireError)>(&bytes).unwrap(), (41, err));
         }
     }
 
@@ -1706,20 +1266,20 @@ mod tests {
                 admission_shed: 3,
             },
         };
-        let bytes = encode_stats_reply(&reply);
-        assert_eq!(decode_stats_reply(&bytes).unwrap(), reply);
-        assert_eq!(decode_stats_request(&encode_stats_request(31)).unwrap(), 31);
+        let bytes = encode(&reply);
+        assert_eq!(decode::<StatsReply>(&bytes).unwrap(), reply);
+        assert_eq!(decode::<u64>(&encode(&31u64)).unwrap(), 31);
 
         // A hostile shard count fails typed before any allocation.
         let mut m = bytes.clone();
         m[8..16].copy_from_slice(&(1u64 << 60).to_le_bytes());
         assert!(matches!(
-            decode_stats_reply(&m),
+            decode::<StatsReply>(&m),
             Err(DecodeError::BadLength { .. })
         ));
         // Truncation anywhere is typed, never a panic.
         for cut in 0..bytes.len() {
-            assert!(decode_stats_reply(&bytes[..cut]).is_err());
+            assert!(decode::<StatsReply>(&bytes[..cut]).is_err());
         }
     }
 
@@ -1756,8 +1316,8 @@ mod tests {
     #[test]
     fn submit_job_roundtrips_bitwise() {
         let spec = sample_job_spec();
-        let bytes = encode_submit_job(9, &spec);
-        let payload = decode_submit_job(&bytes).unwrap();
+        let bytes = encode(&SubmitJobPayload::new(9, &spec));
+        let payload = decode::<SubmitJobPayload>(&bytes).unwrap();
         assert_eq!(payload.id, 9);
         let decoded = payload.into_spec().unwrap();
         assert_eq!(decoded.heuristics, spec.heuristics);
@@ -1768,47 +1328,50 @@ mod tests {
         assert_eq!(decoded.tau.to_bits(), spec.tau.to_bits());
         // Canonical: re-encoding the decoded spec reproduces the bytes, so
         // the ETC survived bit-for-bit.
-        assert_eq!(encode_submit_job(9, &decoded), bytes);
+        assert_eq!(encode(&SubmitJobPayload::new(9, &decoded)), bytes);
     }
 
     #[test]
     fn submit_job_semantic_garbage_is_err_not_panic() {
         let spec = sample_job_spec();
-        let bytes = encode_submit_job(1, &spec);
+        let bytes = encode(&SubmitJobPayload::new(1, &spec));
         // τ below 1 is a well-formed frame but an inadmissible job.
         let mut bad = spec.clone();
         bad.tau = 0.5;
-        let payload = decode_submit_job(&encode_submit_job(1, &bad)).unwrap();
+        let payload = decode::<SubmitJobPayload>(&encode(&SubmitJobPayload::new(1, &bad))).unwrap();
         assert!(payload.into_spec().is_err());
         // batches > population likewise.
         let mut bad = spec.clone();
         bad.batches = bad.population + 1;
-        let payload = decode_submit_job(&encode_submit_job(1, &bad)).unwrap();
+        let payload = decode::<SubmitJobPayload>(&encode(&SubmitJobPayload::new(1, &bad))).unwrap();
         assert!(payload.into_spec().is_err());
         // Truncation anywhere is typed.
         for cut in 0..bytes.len() {
-            assert!(decode_submit_job(&bytes[..cut]).is_err());
+            assert!(decode::<SubmitJobPayload>(&bytes[..cut]).is_err());
         }
         // An unknown heuristic tag is typed.
         let mut spec_one = spec.clone();
         spec_one.heuristics = vec![JobHeuristic::RobustGreedy];
-        let mut m = encode_submit_job(1, &spec_one);
+        let mut m = encode(&SubmitJobPayload::new(1, &spec_one));
         let last = m.len() - 1;
         m[last] = 99;
         assert!(matches!(
-            decode_submit_job(&m),
+            decode::<SubmitJobPayload>(&m),
             Err(DecodeError::BadTag { .. })
         ));
     }
 
     #[test]
     fn job_poll_and_cancel_roundtrip() {
-        assert_eq!(decode_job_poll(&encode_job_poll(3, 17)).unwrap(), (3, 17));
         assert_eq!(
-            decode_job_cancel(&encode_job_cancel(4, 18)).unwrap(),
+            decode::<(u64, u64)>(&encode(&(3u64, 17u64))).unwrap(),
+            (3, 17)
+        );
+        assert_eq!(
+            decode::<(u64, u64)>(&encode(&(4u64, 18u64))).unwrap(),
             (4, 18)
         );
-        assert!(decode_job_poll(&encode_job_poll(3, 17)[..9]).is_err());
+        assert!(decode::<(u64, u64)>(&encode(&(3u64, 17u64))[..9]).is_err());
     }
 
     #[test]
@@ -1826,14 +1389,14 @@ mod tests {
                 evals_done: 1234,
                 evals_total: 5000,
                 front: vec![
-                    fepia_mapping::FrontPoint {
+                    FrontPoint {
                         index: 3,
                         makespan: 10.5,
                         metric: f64::NAN,
                         heuristic: "annealing".into(),
                         assignment: vec![0, 1, 2, 1],
                     },
-                    fepia_mapping::FrontPoint {
+                    FrontPoint {
                         index: 7,
                         makespan: 12.0,
                         metric: 2.5,
@@ -1843,11 +1406,11 @@ mod tests {
                 ],
             },
         };
-        let bytes = encode_job_reply(&reply);
-        let decoded = decode_job_reply(&bytes).unwrap();
+        let bytes = encode(&reply);
+        let decoded = decode::<JobReply>(&bytes).unwrap();
         // Canonical encoding: byte equality IS bitwise equality (covers
         // the NaN metric above).
-        assert_eq!(encode_job_reply(&decoded), bytes);
+        assert_eq!(encode(&decoded), bytes);
         assert_eq!(decoded.id, 77);
         assert_eq!(decoded.snapshot.state, JobState::Running);
         assert_eq!(decoded.snapshot.front.len(), 2);
@@ -1862,7 +1425,7 @@ mod tests {
                 ..reply.snapshot.clone()
             },
         };
-        let decoded = decode_job_reply(&encode_job_reply(&failed)).unwrap();
+        let decoded = decode::<JobReply>(&encode(&failed)).unwrap();
         assert_eq!(
             decoded.snapshot.error.as_deref(),
             Some("candidate 3 panicked")
@@ -1878,12 +1441,12 @@ mod tests {
             - 2 * (8 + 4 * 8);
         m[first_point - 8..first_point].copy_from_slice(&(1u64 << 60).to_le_bytes());
         assert!(matches!(
-            decode_job_reply(&m),
+            decode::<JobReply>(&m),
             Err(DecodeError::BadLength { .. })
         ));
         // Truncation anywhere is typed, never a panic.
         for cut in 0..bytes.len() {
-            assert!(decode_job_reply(&bytes[..cut]).is_err());
+            assert!(decode::<JobReply>(&bytes[..cut]).is_err());
         }
     }
 

@@ -22,4 +22,7 @@ cargo test --release -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> non-test code lines per crate (informational)"
+./scripts/loc.sh
+
 echo "verify: OK"

@@ -19,13 +19,13 @@
 //!   exact PR 2 evaluation path.
 
 use fepia::core::{
-    FeatureSpec, FepiaAnalysis, FnImpact, LinearImpact, Perturbation, RadiusOptions,
-    ResiliencePolicy, Tolerance, VerdictKind,
+    FailReason, FeatureSpec, FepiaAnalysis, FnImpact, LinearImpact, Perturbation, PlanVerdict,
+    PlanWorkspace, RadiusOptions, ResiliencePolicy, Tolerance, VerdictKind,
 };
 use fepia::etc::{generate_cvb, EtcParams};
 use fepia::mapping::{DeltaEval, Mapping};
 use fepia::optim::VecN;
-use fepia::par::ParConfig;
+use fepia::par::{par_map_dynamic_catch_with, CatchConfig, ParConfig, TaskError};
 use fepia::stats::rng_for;
 use proptest::prelude::*;
 use rand::Rng;
@@ -114,9 +114,29 @@ fn chaos_batch_sweeps_return_a_verdict_for_every_origin() {
 
     for &rate in &[0.05, 0.2] {
         fepia::chaos::set_for_test(2003, rate);
-        let seq = plan.evaluate_batch_verdicts(&origins, &policy);
+        let mut ws = plan.workspace();
+        let seq: Vec<PlanVerdict> = origins
+            .iter()
+            .map(|origin| plan.evaluate_verdict_with(origin, &mut ws, &policy))
+            .collect();
         fepia::chaos::set_for_test(2003, rate);
-        let par = plan.evaluate_batch_par_verdicts(&origins, &ParConfig::with_threads(4), &policy);
+        let par: Vec<PlanVerdict> = par_map_dynamic_catch_with(
+            &origins,
+            &ParConfig::with_threads(4),
+            &CatchConfig::default(),
+            PlanWorkspace::new,
+            |ws: &mut PlanWorkspace, _i, origin: &VecN| {
+                plan.evaluate_verdict_with(origin, ws, &policy)
+            },
+        )
+        .into_iter()
+        .map(|r| match r {
+            Ok(v) => v,
+            Err(TaskError::Panicked { message, .. }) => {
+                PlanVerdict::all_failed(plan.feature_count(), FailReason::Panic(message))
+            }
+        })
+        .collect();
         fepia::chaos::clear();
 
         assert_eq!(seq.len(), origins.len());

@@ -9,17 +9,25 @@
 //! original payload bytes verbatim.
 //!
 //! Three layers are fuzzed: raw frames ([`Frame::decode`]), the streaming
-//! reader ([`read_frame`] over a cursor), and the request/response/error
-//! payload codecs (structural decode + semantic validation, which may
-//! reject but may not panic).
+//! reader ([`read_frame`] over a cursor), and the payload codecs
+//! (structural decode + semantic validation, which may reject but may not
+//! panic). One generic harness ([`check_codec`]) holds every frame
+//! payload type to the same [`Wire`] contract.
 
+use fepia::net::frame::DecodeError;
 use fepia::net::frame::{read_frame, Frame, FrameReadError, FrameType};
 use fepia::net::wire::{
-    decode_error, decode_request, decode_response, encode_request, encode_response,
+    decode, decode_request, decode_response, encode, encode_request, encode_response, JobReply,
+    PayloadWriter, RequestPayload, StatsReply, SubmitJobPayload, Wire, WireError,
 };
+use fepia::net::NetStatsSnapshot;
 use fepia::serve::workload::{request, scenario_pool, WorkloadSpec};
-use fepia::serve::{CurveGrid, CurveSpec, EvalKind, EvalRequest, Service};
+use fepia::serve::{
+    CurveGrid, CurveSpec, Disposition, EvalKind, EvalRequest, EvalResponse, JobHeuristic,
+    JobSnapshot, JobSpec, JobState, Service, ShardStatsSnapshot, ShedReason,
+};
 use proptest::prelude::*;
+use std::fmt::Debug;
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -193,7 +201,7 @@ proptest! {
         payload[pos] ^= xor;
         let _ = decode_response(&payload);
         let _ = decode_response(&noise);
-        let _ = decode_error(&noise);
+        let _ = decode::<(u64, WireError)>(&noise);
     }
 
     /// `Curve` frames obey the same misparse contract as every other
@@ -265,4 +273,390 @@ fn hostile_curve_point_count_fails_typed() {
         decode_response(&hostile).is_err(),
         "a 2^64 point-count claim must fail typed, not allocate"
     );
+}
+
+// ---------------------------------------------------------------------------
+// One generic harness for every frame payload type
+// ---------------------------------------------------------------------------
+
+/// SplitMix64: a tiny deterministic byte source for the noise inputs.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The [`Wire`] contract for one payload type `T`, over `samples`:
+///
+/// * round trip: every sample decodes and re-encodes to its exact bytes
+///   (byte equality of a canonical encoding is bitwise equality);
+/// * `smallest` encodes to exactly `T::MIN_LEN` bytes, and no sample to
+///   fewer;
+/// * totality: every single-byte mutation of every sample, and a fixed
+///   stream of noise, decodes to a typed error or to a value whose
+///   re-encoding is exactly the input (never a panic, never a misparse);
+/// * truncation: every strict prefix fails with `Truncated` or
+///   `BadLength`;
+/// * hostile counts: a count field at `(sample, offset)` rewritten to
+///   claim 2^60 elements fails with `BadLength` before any allocation.
+fn check_codec<T: Wire + Debug>(samples: &[T], smallest: &T, hostile: &[(usize, usize)]) {
+    let name = std::any::type_name::<T>();
+    assert_eq!(encode(smallest).len(), T::MIN_LEN, "{name}: MIN_LEN");
+    let canonical = |bytes: &[u8], what: &str| {
+        if let Ok(value) = decode::<T>(bytes) {
+            assert_eq!(encode(&value), bytes, "{name}: {what} misparsed");
+        }
+    };
+    for (i, sample) in samples.iter().enumerate() {
+        let bytes = encode(sample);
+        assert!(
+            bytes.len() >= T::MIN_LEN,
+            "{name}: sample {i} below MIN_LEN"
+        );
+        let decoded = decode::<T>(&bytes).unwrap_or_else(|e| panic!("{name}: sample {i}: {e}"));
+        assert_eq!(encode(&decoded), bytes, "{name}: sample {i} round trip");
+        for pos in 0..bytes.len() {
+            for xor in [0x01, 0x80, 0xff] {
+                let mut m = bytes.clone();
+                m[pos] ^= xor;
+                canonical(&m, &format!("sample {i} byte {pos} ^ {xor:#x}"));
+            }
+        }
+        for cut in 0..bytes.len() {
+            match decode::<T>(&bytes[..cut]) {
+                Err(DecodeError::Truncated { .. } | DecodeError::BadLength { .. }) => {}
+                other => panic!("{name}: sample {i} cut at {cut} gave {other:?}"),
+            }
+        }
+    }
+    let mut state = 2003;
+    for n in 0..512 {
+        let noise: Vec<u8> = (0..n % 160).map(|_| splitmix(&mut state) as u8).collect();
+        canonical(&noise, "noise");
+    }
+    for &(i, offset) in hostile {
+        let mut m = encode(&samples[i]);
+        m[offset..offset + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(
+            matches!(decode::<T>(&m), Err(DecodeError::BadLength { .. })),
+            "{name}: hostile count at sample {i} offset {offset}"
+        );
+    }
+}
+
+/// Concatenated encodings: hand-built payloads for types whose fields
+/// are not public.
+fn concat(parts: &[&dyn Fn(&mut PayloadWriter)]) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    parts.iter().for_each(|part| part(&mut w));
+    w.finish()
+}
+
+#[test]
+fn request_payloads_obey_the_wire_contract() {
+    let pool = scenario_pool(&WorkloadSpec::default());
+    let mut samples: Vec<RequestPayload> = valid_request_payloads()
+        .iter()
+        .chain(valid_curve_request_payloads())
+        .map(|bytes| decode_request(bytes).unwrap())
+        .collect();
+    let moves = EvalRequest {
+        id: 7,
+        scenario: Arc::clone(&pool[2]),
+        kind: EvalKind::Moves(vec![(0, 1), (3, 2)]),
+    };
+    samples.push(RequestPayload::new(&moves, 2_500));
+    // id, deadline, 0×0 ETC, zero machines, empty assignment, τ, L1 norm
+    // with default solver options, Verdict.
+    let smallest = decode::<RequestPayload>(&concat(&[
+        &|w| (0u64, 0u64).encode(w),
+        &|w| (0usize, 0usize).encode(w),
+        &|w| (0usize, Vec::<usize>::new()).encode(w),
+        &|w| 1.0f64.encode(w),
+        &|w| {
+            fepia::core::RadiusOptions {
+                norm: fepia::optim::Norm::L1,
+                ..Default::default()
+            }
+            .encode(w)
+        },
+        &|w| EvalKind::Verdict.encode(w),
+    ]))
+    .unwrap();
+    // The ETC `apps` field: apps × machines cells are bounded like a count.
+    check_codec(&samples, &smallest, &[(0, 16), (samples.len() - 1, 16)]);
+}
+
+#[test]
+fn response_payloads_obey_the_wire_contract() {
+    let samples = vec![
+        decode_response(valid_response_payload()).unwrap(),
+        decode_response(valid_curve_response_payload()).unwrap(),
+    ];
+    let smallest = EvalResponse {
+        id: 0,
+        shard: 0,
+        cache: None,
+        attempts: 0,
+        disposition: Disposition::Full,
+        verdicts: vec![],
+        curve: None,
+    };
+    // The verdict count follows id, shard, attempts, cache and disposition.
+    check_codec(&samples, &smallest, &[(0, 22), (1, 22)]);
+}
+
+#[test]
+fn error_payloads_obey_the_wire_contract() {
+    let samples = vec![
+        (
+            3u64,
+            WireError::Overloaded {
+                shard: 1,
+                reason: ShedReason::QueueFull,
+            },
+        ),
+        (
+            0,
+            WireError::Overloaded {
+                shard: 0,
+                reason: ShedReason::ShuttingDown,
+            },
+        ),
+        (
+            9,
+            WireError::Invalid("bad Request payload: truncated".into()),
+        ),
+    ];
+    // The message length follows the id and the variant tag.
+    check_codec(&samples, &(0, WireError::Invalid(String::new())), &[(2, 9)]);
+}
+
+#[test]
+fn stats_payloads_obey_the_wire_contract() {
+    check_codec(&[31u64, u64::MAX], &0, &[]);
+    let busy = ShardStatsSnapshot {
+        submitted: 10,
+        completed: 9,
+        cache_hits: 7,
+        busy_ns: 123_456_789,
+        ..Default::default()
+    };
+    let net = NetStatsSnapshot {
+        connections: 4,
+        frames_read: 100,
+        max_pipeline_depth: 17,
+        ..Default::default()
+    };
+    let samples = vec![
+        StatsReply {
+            id: 31,
+            shards: vec![busy, ShardStatsSnapshot::default()],
+            net,
+        },
+        StatsReply {
+            id: 32,
+            shards: vec![],
+            net,
+        },
+    ];
+    let smallest = StatsReply {
+        id: 0,
+        shards: vec![],
+        net: NetStatsSnapshot::default(),
+    };
+    // The shard count follows the id.
+    check_codec(&samples, &smallest, &[(0, 8), (1, 8)]);
+}
+
+fn job_spec(heuristics: Vec<JobHeuristic>) -> JobSpec {
+    let pool = scenario_pool(&WorkloadSpec::default());
+    JobSpec {
+        etc: Arc::clone(pool[0].etc()),
+        tau: 1.2,
+        seed: 42,
+        population: 16,
+        batches: 4,
+        heuristics,
+        threads: 2,
+    }
+}
+
+#[test]
+fn job_payloads_obey_the_wire_contract() {
+    let samples = vec![
+        SubmitJobPayload::new(9, &job_spec(vec![JobHeuristic::RobustGreedy])),
+        SubmitJobPayload::new(
+            10,
+            &job_spec(vec![
+                JobHeuristic::Annealing {
+                    iterations: 200,
+                    initial_temperature: 0.1,
+                    cooling: 0.995,
+                },
+                JobHeuristic::Tabu {
+                    iterations: 5,
+                    tabu_len: 16,
+                },
+                JobHeuristic::Genetic {
+                    population: 8,
+                    generations: 3,
+                    mutation_rate: 0.05,
+                },
+            ]),
+        ),
+    ];
+    // id, 0×0 ETC, τ, seed, population/batches/threads, no heuristics.
+    let smallest = decode::<SubmitJobPayload>(&concat(&[
+        &|w| (0u64, (0usize, 0usize)).encode(w),
+        &|w| (1.0f64, 0u64).encode(w),
+        &|w| ((0u32, 0u32), (0u32, Vec::<JobHeuristic>::new())).encode(w),
+    ]))
+    .unwrap();
+    // The ETC `apps` field follows the id.
+    check_codec(&samples, &smallest, &[(0, 8), (1, 8)]);
+
+    check_codec(&[(3u64, 17u64), (u64::MAX, 0)], &(0, 0), &[]);
+
+    let snapshot = JobSnapshot {
+        job: 5,
+        state: JobState::Running,
+        error: None,
+        batches_done: 2,
+        batches_total: 4,
+        candidates_done: 8,
+        candidates_total: 16,
+        evals_done: 1234,
+        evals_total: 5000,
+        front: vec![fepia::mapping::FrontPoint {
+            index: 3,
+            makespan: 10.5,
+            metric: f64::NAN,
+            heuristic: "annealing".into(),
+            assignment: vec![0, 1, 2, 1],
+        }],
+    };
+    let failed = JobSnapshot {
+        state: JobState::Failed,
+        error: Some("candidate 3 panicked".into()),
+        ..snapshot.clone()
+    };
+    let samples = vec![
+        JobReply { id: 77, snapshot },
+        JobReply {
+            id: 78,
+            snapshot: failed,
+        },
+    ];
+    let smallest = JobReply {
+        id: 0,
+        snapshot: JobSnapshot {
+            job: 0,
+            state: JobState::Cancelled,
+            error: None,
+            batches_done: 0,
+            batches_total: 0,
+            candidates_done: 0,
+            candidates_total: 0,
+            evals_done: 0,
+            evals_total: 0,
+            front: vec![],
+        },
+    };
+    // With no error string, the front count follows id, job, state, the
+    // error option tag and the six progress counters.
+    check_codec(&samples, &smallest, &[(0, 58)]);
+}
+
+/// Collection element types bound their counts by `MIN_LEN` too, so they
+/// are held to the same contract as the frame payloads that carry them.
+#[test]
+fn element_types_obey_the_wire_contract() {
+    use fepia::core::{
+        DegradeReason, FailReason, PlanVerdict, RadiusMethod, RadiusResult, RadiusVerdict,
+        VerdictKind,
+    };
+    use fepia::optim::VecN;
+
+    let radii = vec![
+        RadiusVerdict::Exact(RadiusResult {
+            radius: 1.5,
+            boundary_point: Some(VecN::new(vec![1.0, -0.0, f64::NAN])),
+            bound: None,
+            violated: true,
+            method: RadiusMethod::Numeric,
+            iterations: 7,
+            f_evals: 30,
+        }),
+        RadiusVerdict::Bounded {
+            lo: 0.25,
+            hi: f64::INFINITY,
+            reason: DegradeReason::IterationCap,
+            restarts: 2,
+        },
+        RadiusVerdict::Failed(FailReason::Solver("no bracket".into())),
+        RadiusVerdict::Failed(FailReason::DimensionMismatch {
+            got: 2,
+            expected: 3,
+        }),
+    ];
+    // Each sample's first count: the boundary point's length after the
+    // radius and option tag, the message length after the two tags.
+    check_codec(&radii, &RadiusVerdict::Infeasible, &[(0, 10), (2, 2)]);
+
+    let verdict = PlanVerdict {
+        radii,
+        metric_lo: 0.25,
+        metric_hi: 1.5,
+        binding: Some(1),
+        kind: VerdictKind::Bounded,
+    };
+    let smallest = PlanVerdict {
+        radii: vec![],
+        metric_lo: 0.0,
+        metric_hi: 0.0,
+        binding: None,
+        kind: VerdictKind::Exact,
+    };
+    // The radius count follows both bounds, the binding and the kind.
+    check_codec(&[verdict], &smallest, &[(0, 26)]);
+
+    check_codec(
+        &[VecN::new(vec![1.0, f64::NAN])],
+        &VecN::new(vec![]),
+        &[(0, 0)],
+    );
+    check_codec(&[(3usize, 1usize)], &(0, 0), &[]);
+    check_codec(
+        &[ShardStatsSnapshot {
+            submitted: 3,
+            ..Default::default()
+        }],
+        &ShardStatsSnapshot::default(),
+        &[],
+    );
+    check_codec(
+        &[JobHeuristic::Tabu {
+            iterations: 5,
+            tabu_len: 16,
+        }],
+        &JobHeuristic::RobustGreedy,
+        &[],
+    );
+    let point = fepia::mapping::FrontPoint {
+        index: 3,
+        makespan: 10.5,
+        metric: 2.5,
+        heuristic: "tabu".into(),
+        assignment: vec![0, 1],
+    };
+    let smallest = fepia::mapping::FrontPoint {
+        heuristic: String::new(),
+        assignment: vec![],
+        ..point.clone()
+    };
+    // The heuristic name's length follows index, makespan and metric.
+    check_codec(&[point], &smallest, &[(0, 24)]);
 }

@@ -15,18 +15,20 @@
 //! numbers. Deterministic fake-server tests pin down the client's typed
 //! retry classification (Overloaded → backoff, Invalid → permanent, torn
 //! frame → reconnect), and a drain test shows shutdown answers accepted
-//! work.
+//! work. Two more pin the uniform malformed-input policy: the server
+//! answers any undecodable payload with one `Invalid` frame and stops
+//! reading, and the client rejects an error frame echoing a foreign id.
 //!
 //! Chaos state is process-global, so every test holds one lock.
 
-use fepia::net::frame::{read_frame, write_frame, Frame, FrameType};
-use fepia::net::wire::{encode_error, encode_response, WireError};
+use fepia::net::frame::{read_frame, write_frame, Frame, FrameReadError, FrameType};
+use fepia::net::wire::{decode, encode, encode_response, WireError};
 use fepia::net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig};
 use fepia::serve::workload::{
     moves_request, request, scenario_pool, verdicts_bitwise_equal, WorkloadSpec,
 };
 use fepia::serve::{Service, ServiceConfig, ShedReason};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, Once};
 
 static NET_LOCK: Mutex<()> = Mutex::new(());
@@ -199,18 +201,18 @@ fn client_backs_off_on_overloaded_and_fails_fast_on_invalid() {
         // First frame → Overloaded (retryable, same connection).
         let f = read_frame(&mut conn).unwrap();
         assert_eq!(f.frame_type, FrameType::Request);
-        let overloaded = encode_error(
-            7,
-            &WireError::Overloaded {
+        let overloaded = encode(&(
+            7u64,
+            WireError::Overloaded {
                 shard: 1,
                 reason: ShedReason::QueueFull,
             },
-        );
+        ));
         write_frame(&mut conn, FrameType::Error, 0, &overloaded).unwrap();
         // The retry arrives on the SAME connection → Invalid (permanent).
         let f = read_frame(&mut conn).unwrap();
         assert_eq!(f.frame_type, FrameType::Request);
-        let invalid = encode_error(7, &WireError::Invalid("scripted rejection".into()));
+        let invalid = encode(&(7u64, WireError::Invalid("scripted rejection".into())));
         write_frame(&mut conn, FrameType::Error, 0, &invalid).unwrap();
     });
 
@@ -401,4 +403,59 @@ fn shutdown_drains_accepted_requests() {
         .ok()
         .expect("handle released")
         .shutdown();
+}
+
+/// A malformed stats poll gets the same answer as every other undecodable
+/// payload: one typed `Invalid` frame echoing id 0, then the server stops
+/// reading and closes the connection.
+#[test]
+fn malformed_stats_poll_gets_one_invalid_frame_then_eof() {
+    let _guard = net_guard();
+    let service = Arc::new(Service::start(equivalence_config()));
+    let server =
+        NetServer::start(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    // Three bytes where the poll id needs eight.
+    write_frame(&mut conn, FrameType::StatsRequest, 0, &[1, 2, 3]).unwrap();
+    let frame = read_frame(&mut conn).expect("one typed error frame");
+    assert_eq!(frame.frame_type, FrameType::Error);
+    let (id, err) = decode::<(u64, WireError)>(&frame.payload).unwrap();
+    assert_eq!(id, 0, "the server never decoded an id to echo");
+    assert!(matches!(err, WireError::Invalid(_)), "{err:?}");
+    match read_frame(&mut conn) {
+        Err(FrameReadError::Closed) => {}
+        other => panic!("expected EOF after the refusal, got {other:?}"),
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.decode_errors, 1);
+    assert_eq!(stats.frames_read, 0);
+    Arc::try_unwrap(service)
+        .ok()
+        .expect("server released its service handle")
+        .shutdown();
+}
+
+/// `NetClient::stats` holds an error frame to the same echo rule as every
+/// other reply: a non-zero id that is not the poll's is a protocol
+/// violation, not a refusal of this poll.
+#[test]
+fn stats_poll_rejects_error_frame_for_another_id() {
+    let _guard = net_guard();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let script = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let f = read_frame(&mut conn).unwrap();
+        assert_eq!(f.frame_type, FrameType::StatsRequest);
+        let foreign = encode(&(999u64, WireError::Invalid("not yours".into())));
+        write_frame(&mut conn, FrameType::Error, 0, &foreign).unwrap();
+    });
+    let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+    match client.stats(5) {
+        Err(NetError::Protocol(_)) => {}
+        other => panic!("expected Protocol, got {other:?}"),
+    }
+    script.join().unwrap();
 }

@@ -15,7 +15,7 @@
 
 use fepia::net::frame::{read_frame, write_frame, Frame, FrameType, HEADER_LEN};
 use fepia::net::wire::{
-    decode_error, decode_response, encode_request, encode_request_with_deadline, WireError,
+    decode, decode_response, encode, encode_request, RequestPayload, WireError,
 };
 use fepia::net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig};
 use fepia::serve::workload::{request, scenario_pool, WorkloadSpec};
@@ -114,7 +114,7 @@ fn storm_expired_requests_are_dropped_at_dequeue_never_evaluated() {
             &mut storm,
             FrameType::Request,
             0,
-            &encode_request_with_deadline(&req, 1_000),
+            &encode(&RequestPayload::new(&req, 1_000)),
         )
         .unwrap();
     }
@@ -311,7 +311,7 @@ fn admission_shed_is_typed_and_counts() {
                 Disposition::DeadlineExceeded => panic!("no deadline was set"),
             },
             FrameType::Error => {
-                let (_, err) = decode_error(&frame.payload).unwrap();
+                let (_, err) = decode::<(u64, WireError)>(&frame.payload).unwrap();
                 assert!(matches!(err, WireError::Overloaded { .. }), "{err:?}");
                 shed += 1;
             }
@@ -373,7 +373,7 @@ fn v2_frame_yields_typed_version_error_not_a_hang() {
 
     let frame = read_frame(&mut conn).expect("typed error frame, not a hang");
     assert_eq!(frame.frame_type, FrameType::Error);
-    let (id, err) = decode_error(&frame.payload).unwrap();
+    let (id, err) = decode::<(u64, WireError)>(&frame.payload).unwrap();
     assert_eq!(id, 0, "version errors cannot echo an id they never decoded");
     match err {
         WireError::Invalid(msg) => assert!(

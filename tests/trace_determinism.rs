@@ -155,7 +155,7 @@ fn disabled_tracing_emits_no_spans() {
 #[test]
 fn stats_polls_mint_trace_ids_from_the_request_id() {
     use fepia::net::frame::{read_frame, write_frame, FrameType};
-    use fepia::net::wire::{encode_stats_reply, StatsReply};
+    use fepia::net::wire::{decode, encode, StatsReply};
 
     let _guard = lock();
     fepia::chaos::clear();
@@ -170,7 +170,7 @@ fn stats_polls_mint_trace_ids_from_the_request_id() {
             let (mut conn, _) = listener.accept().unwrap();
             let frame = read_frame(&mut conn).unwrap();
             assert_eq!(frame.frame_type, FrameType::StatsRequest);
-            let id = fepia::net::wire::decode_stats_request(&frame.payload).unwrap();
+            let id = decode::<u64>(&frame.payload).unwrap();
             traces.push((id, frame.trace));
             let reply = StatsReply {
                 id,
@@ -181,7 +181,7 @@ fn stats_polls_mint_trace_ids_from_the_request_id() {
                 &mut conn,
                 FrameType::StatsResponse,
                 frame.trace,
-                &encode_stats_reply(&reply),
+                &encode(&reply),
             )
             .unwrap();
         }
