@@ -25,7 +25,7 @@
 //! attempts), bounds each read, and expires as a typed
 //! [`NetError::DeadlineExceeded`].
 
-use crate::frame::{read_frame, write_frame, DecodeError, FrameReadError, FrameType};
+use crate::frame::{encode_into, read_frame, write_frame, DecodeError, FrameReadError, FrameType};
 use crate::wire::{
     decode, encode, encode_request, JobReply, RequestPayload, StatsReply, SubmitJobPayload, Wire,
     WireError,
@@ -459,9 +459,12 @@ impl NetClient {
                 )));
             }
             let trace_id = if traced { TraceId::mint(req.id).0 } else { 0 };
-            let frame =
-                crate::frame::Frame::with_trace(FrameType::Request, trace_id, encode_request(req));
-            batch.extend_from_slice(&frame.encode());
+            encode_into(
+                &mut batch,
+                FrameType::Request,
+                trace_id,
+                &encode_request(req),
+            );
         }
         let stream = self.stream()?;
         if let Err(e) = stream.write_all(&batch).and_then(|()| stream.flush()) {

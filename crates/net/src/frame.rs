@@ -5,13 +5,13 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  = b"FEPN"
-//! 4       1     version = 3
+//! 4       1     version = 4
 //! 5       1     frame type (1 request, 2 response, 3 error,
 //!               4 stats request, 5 stats response, 6 submit job,
 //!               7 job status, 8 job result, 9 cancel job)
 //! 6       2     reserved, must be 0 (LE)
 //! 8       4     payload length in bytes (LE)
-//! 12      8     FNV-1a 64 checksum of the payload (LE)
+//! 12      8     payload checksum (LE; see below)
 //! 20      8     trace id (LE; 0 = untraced)
 //! 28      n     payload
 //! ```
@@ -27,9 +27,28 @@
 //! Version 3 keeps the header layout and changes the payloads: requests
 //! carry a relative deadline (microseconds, 0 = none), responses carry a
 //! disposition byte (full / brownout / deadline-exceeded), and the stats
-//! reply grows deadline/brownout counters. A v2 frame against a v3
-//! endpoint yields a typed [`DecodeError::UnsupportedVersion`] — never a
+//! reply grows deadline/brownout counters.
+//!
+//! Version 4 keeps the header layout and every payload byte and changes
+//! what the checksum field holds: byte-serial FNV-1a 64 (versions 1–3)
+//! became the word-wise checksum below. A frame of any other version
+//! yields a typed [`DecodeError::UnsupportedVersion`] — never a
 //! mis-parse, panic, or hang.
+//!
+//! Version history: 1 base header · 2 trace id · 3 deadlines and
+//! dispositions · 4 word-wise checksum.
+//!
+//! **The checksum.** The payload is read as little-endian 8-byte words;
+//! word `k` goes to lane `k mod 4`. Each lane starts at the FNV-1a 64
+//! offset basis and takes a word with FNV-1a's step widened to a word,
+//! then a rotate, `lane = rotl((lane ^ word) · P, 23)`, P the FNV-1a 64
+//! prime. The rotate feeds the high bits the multiply produces into the
+//! next multiply. The four lanes are folded in order into one state with
+//! the same step, then each leftover tail byte, then the payload length.
+//! Four independent lanes keep four multiplies in flight at once.
+//! Every step is a bijection of the state for a fixed input and of the
+//! input for a fixed state (P is odd), so changing any one word — in
+//! particular any one byte — of a payload always changes the checksum.
 //!
 //! Decoding is total: every malformed input maps to a typed
 //! [`DecodeError`] — bad magic, unknown version or type, a length that
@@ -49,7 +68,7 @@ use std::io::{Read, Write};
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"FEPN";
 /// The one wire-protocol version this build speaks.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 28;
 /// Hard cap on payload size; larger claims are rejected before allocation.
@@ -227,26 +246,64 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// FNV-1a 64 over raw bytes — the frame payload checksum (and the same
-/// function the service uses for scenario fingerprints).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// Independent multiply chains of the checksum.
+const LANES: usize = 4;
+
+/// One checksum step: FNV-1a's xor-multiply on a whole word, then a
+/// rotate. A bijection of `state` for fixed `word`, and of `word` for
+/// fixed `state`.
+fn mix(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(FNV_PRIME).rotate_left(23)
+}
+
+/// The payload checksum of the frame header (see the module docs).
+fn checksum(payload: &[u8]) -> u64 {
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut blocks = payload.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(w));
+        }
     }
-    h
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, w) in lanes.iter_mut().zip(&mut words) {
+        *lane = mix(*lane, word(w));
+    }
+    let mut h = lanes.into_iter().fold(FNV_OFFSET, mix);
+    for &b in words.remainder() {
+        h = mix(h, u64::from(b));
+    }
+    mix(h, payload.len() as u64)
+}
+
+/// Appends one encoded frame — header, then payload — to `out`: the one
+/// place a frame header is written. Panics only if the payload exceeds
+/// [`MAX_PAYLOAD`] (an encoder-side bug, not reachable from network
+/// input).
+pub(crate) fn encode_into(out: &mut Vec<u8>, frame_type: FrameType, trace: u64, payload: &[u8]) {
+    assert!(
+        payload.len() <= MAX_PAYLOAD as usize,
+        "encoder produced a {}-byte payload over the {MAX_PAYLOAD}-byte cap",
+        payload.len()
+    );
+    out.reserve(HEADER_LEN + payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(frame_type.to_byte());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(&trace.to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 impl Frame {
-    /// Builds a frame; panics only if the payload exceeds [`MAX_PAYLOAD`]
-    /// (an encoder-side bug, not reachable from network input).
+    /// Builds an untraced frame. A payload over [`MAX_PAYLOAD`] panics
+    /// when the frame is encoded.
     pub fn new(frame_type: FrameType, payload: Vec<u8>) -> Frame {
-        assert!(
-            payload.len() <= MAX_PAYLOAD as usize,
-            "encoder produced a {}-byte payload over the {MAX_PAYLOAD}-byte cap",
-            payload.len()
-        );
         Frame {
             frame_type,
             trace: 0,
@@ -263,15 +320,8 @@ impl Frame {
 
     /// Serializes header + payload into one buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.frame_type.to_byte());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&self.payload).to_le_bytes());
-        out.extend_from_slice(&self.trace.to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = Vec::new();
+        encode_into(&mut out, self.frame_type, self.trace, &self.payload);
         out
     }
 
@@ -292,7 +342,7 @@ impl Frame {
             });
         }
         let payload = &rest[..len];
-        let actual = fnv1a(payload);
+        let actual = checksum(payload);
         if actual != header.checksum {
             return Err(DecodeError::ChecksumMismatch {
                 expected: header.checksum,
@@ -424,7 +474,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameReadError> {
             Err(e) => return Err(FrameReadError::Io(e)),
         }
     }
-    let actual = fnv1a(&payload);
+    let actual = checksum(&payload);
     if actual != parsed.checksum {
         return Err(FrameReadError::Decode(DecodeError::ChecksumMismatch {
             expected: parsed.checksum,
@@ -452,8 +502,9 @@ pub fn write_frame(
     trace: u64,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let frame = Frame::with_trace(frame_type, trace, payload.to_vec());
-    w.write_all(&frame.encode())?;
+    let mut bytes = Vec::new();
+    encode_into(&mut bytes, frame_type, trace, payload);
+    w.write_all(&bytes)?;
     w.flush()
 }
 
@@ -515,7 +566,7 @@ impl FrameDecoder {
             return Ok(None);
         }
         let payload = &avail[HEADER_LEN..HEADER_LEN + len];
-        let actual = fnv1a(payload);
+        let actual = checksum(payload);
         if actual != header.checksum {
             return Err(DecodeError::ChecksumMismatch {
                 expected: header.checksum,
@@ -589,10 +640,9 @@ impl FrameWriter {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        let frame = Frame::with_trace(frame_type, trace, payload.to_vec());
-        let bytes = frame.encode();
-        self.enqueued += bytes.len() as u64;
-        self.buf.extend_from_slice(&bytes);
+        let before = self.buf.len();
+        encode_into(&mut self.buf, frame_type, trace, payload);
+        self.enqueued += (self.buf.len() - before) as u64;
         self.markers.push_back((
             self.enqueued,
             QueuedFrame {
@@ -694,6 +744,28 @@ mod tests {
     fn empty_payload_roundtrips() {
         let frame = Frame::new(FrameType::Error, Vec::new());
         assert_eq!(Frame::decode(&frame.encode()).unwrap(), frame);
+    }
+
+    /// Lengths 0..=96 cross the 8-byte word and the 32-byte lane-block
+    /// boundaries; at each, flipping any bit pattern of any single byte
+    /// changes the checksum.
+    #[test]
+    fn checksum_detects_every_single_byte_change() {
+        for len in 0..=96usize {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let base = checksum(&payload);
+            for pos in 0..len {
+                for mask in [0x01u8, 0x80, 0xff] {
+                    let mut m = payload.clone();
+                    m[pos] ^= mask;
+                    assert_ne!(
+                        checksum(&m),
+                        base,
+                        "len {len}, byte {pos}, mask {mask:#04x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   ([`client::NetClient::call_pipelined`]) that keeps many requests in
 //!   flight on one connection.
 //!
-//! Wire v3 also carries **optimizer jobs** (`SubmitJob` / `JobStatus` /
+//! The wire also carries **optimizer jobs** (`SubmitJob` / `JobStatus` /
 //! `JobResult` / `CancelJob` frames): the server fronts a bounded
 //! [`fepia_serve::JobTable`] whose seeded heuristic populations accumulate
 //! a deterministic makespan × robustness Pareto front, pollable

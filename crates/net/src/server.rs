@@ -42,7 +42,7 @@
 //! always-on high-water mark of per-connection pipeline depth in
 //! [`NetStatsSnapshot::max_pipeline_depth`].
 
-use crate::frame::{Frame, FrameDecoder, FrameType, FrameWriter};
+use crate::frame::{encode_into, Frame, FrameDecoder, FrameType, FrameWriter};
 use crate::poll::{wake_pair, Interest, PollSet, WakeReader, Waker};
 use crate::wire::{
     decode, encode, JobReply, RequestPayload, StatsReply, SubmitJobPayload, Wire, WireError,
@@ -530,7 +530,13 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    // Nagle off, as on the client: a pipelined window's
+                    // responses must not wait for the peer's delayed ACK.
+                    if stream
+                        .set_nonblocking(true)
+                        .and_then(|()| stream.set_nodelay(true))
+                        .is_err()
+                    {
                         continue;
                     }
                     self.stats.count(&self.stats.connections, "net.connections");
@@ -623,7 +629,8 @@ impl EventLoop {
         }
         if fepia_chaos::enabled() && fepia_chaos::should_fire("net.write") {
             self.stats.count(&self.stats.chaos_drops, "net.chaos.drops");
-            let full = Frame::with_trace(frame_type, trace, payload.to_vec()).encode();
+            let mut full = Vec::new();
+            encode_into(&mut full, frame_type, trace, payload);
             let torn = &full[..full.len() / 2];
             // Best effort: push earlier queued frames, then the strict
             // prefix, then sever. The client decodes Truncated and its

@@ -128,12 +128,23 @@ pub fn set_events_enabled(on: bool) {
     EVENTS.store(on, Ordering::Relaxed);
 }
 
+/// The one lock of this crate's unit tests that flip the process-global
+/// toggles (metrics, events, trace, wall) or install the global sink: the
+/// test harness runs tests on parallel threads, and unserialized they
+/// race on that shared state.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn toggles_are_sticky() {
+        let _guard = test_lock();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);
@@ -146,6 +157,7 @@ mod tests {
 
     #[test]
     fn event_roundtrip_through_vec_sink() {
+        let _guard = test_lock();
         let sink = Arc::new(VecSink::new());
         let prev = install_sink(sink.clone());
         set_events_enabled(true);

@@ -182,6 +182,7 @@ mod tests {
 
     #[test]
     fn disabled_event_is_inert() {
+        let _guard = crate::test_lock();
         crate::set_events_enabled(false);
         let e = Event::new("x").field("k", 1u64);
         assert!(e.writer.is_none());

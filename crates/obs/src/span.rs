@@ -134,6 +134,7 @@ mod tests {
 
     #[test]
     fn span_records_into_global_when_enabled() {
+        let _guard = crate::test_lock();
         crate::set_enabled(true);
         {
             let _g = SpanGuard::enter("obs.test.span");

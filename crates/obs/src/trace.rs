@@ -220,6 +220,7 @@ mod tests {
 
     #[test]
     fn toggles_are_sticky() {
+        let _guard = crate::test_lock();
         set_trace_enabled(true);
         assert!(trace_enabled());
         set_trace_wall(true);
@@ -232,6 +233,7 @@ mod tests {
 
     #[test]
     fn span_event_schema_is_stable() {
+        let _guard = crate::test_lock();
         let sink = Arc::new(VecSink::new());
         let prev = install_sink(sink.clone());
         crate::set_events_enabled(true);
@@ -258,6 +260,7 @@ mod tests {
 
     #[test]
     fn deterministic_mode_omits_wall_fields() {
+        let _guard = crate::test_lock();
         set_trace_enabled(true);
         set_trace_wall(false);
         let sink = Arc::new(VecSink::new());

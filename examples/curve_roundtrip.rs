@@ -1,7 +1,7 @@
 //! The §3.1 scenario's degradation curve ρ(τ) over TCP.
 //!
 //! Starts the evaluation service behind a `fepia-net` server, sends one
-//! v3 `Curve` request sweeping the makespan tolerance factor τ over an
+//! `Curve` request sweeping the makespan tolerance factor τ over an
 //! explicit grid, and prints the resulting ρ(τ) points — the whole
 //! degradation function of the paper's example system from a single
 //! compiled plan. Then demonstrates the differential guarantee: each

@@ -2,7 +2,7 @@
 //! for its makespan × robustness Pareto front.
 //!
 //! Starts the evaluation service behind a `fepia-net` server, submits a
-//! seeded four-heuristic population as one wire-v3 `SubmitJob` frame,
+//! seeded four-heuristic population as one `SubmitJob` frame,
 //! streams best-so-far progress with `JobStatus` polls while the job
 //! runs, and prints the final front: every point a mapping with its
 //! makespan and its Eq. 7 robustness metric (the smallest Eq. 6 radius

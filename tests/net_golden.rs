@@ -4,7 +4,9 @@
 //! is encoded and pinned by its exact length and FNV-1a hash. The pins
 //! hold the wire format still: any change to field order, tag values,
 //! integer widths or `f64` bit transport changes a hash here, whatever
-//! the codec's internal structure. A deliberate format change must bump
+//! the codec's internal structure. One whole frame, header included, is
+//! pinned the same way, so the version byte and the header checksum are
+//! held still too. A deliberate format change must bump
 //! [`fepia::net::VERSION`] and re-pin every vector.
 
 use fepia::core::{
@@ -13,7 +15,7 @@ use fepia::core::{
 };
 use fepia::etc::EtcMatrix;
 use fepia::mapping::{FrontPoint, Mapping};
-use fepia::net::frame::fnv1a;
+use fepia::net::frame::{Frame, FrameType};
 use fepia::net::wire::{
     encode, encode_request, encode_response, JobReply, RequestPayload, StatsReply,
     SubmitJobPayload, WireError,
@@ -26,6 +28,17 @@ use fepia::serve::{
     ShedReason,
 };
 use std::sync::Arc;
+
+/// FNV-1a 64 over raw bytes: the pin hash of this file, independent of
+/// the frame checksum it helps pin.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
 
 /// A 3-application × 2-machine ETC with exactly representable and
 /// non-representable entries alike.
@@ -335,4 +348,25 @@ fn every_frame_kind_encodes_to_its_pinned_bytes() {
         .map(|(name, len, hash)| format!("    ({name:?}, {len}, 0x{hash:016x}),\n"))
         .collect();
     assert_eq!(got, PINS, "encoded payloads drifted; now:\n{listing}");
+}
+
+/// `(length, FNV-1a)` of the canonical response payload framed as a
+/// traced `Response`: header (magic, version, type, reserved, length,
+/// checksum, trace id) plus payload.
+const FRAME_PIN: (usize, u64) = (399, 0x24a1ce78408f8342);
+
+#[test]
+fn a_whole_frame_encodes_to_its_pinned_bytes() {
+    let bytes = Frame::with_trace(
+        FrameType::Response,
+        0x0123_4567_89ab_cdef,
+        encode_response(&response()),
+    )
+    .encode();
+    let got = (bytes.len(), fnv1a(&bytes));
+    assert_eq!(
+        got, FRAME_PIN,
+        "encoded frame drifted; now: ({}, 0x{:016x})",
+        got.0, got.1
+    );
 }

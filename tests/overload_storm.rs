@@ -8,7 +8,7 @@
 //! stay sound (their metric interval contains the chaos-off full-precision
 //! metric) and bitwise-reproducible across same-seed runs.
 //!
-//! Also here: the v2-vs-v3 wire-version negotiation regression (a typed
+//! Also here: the stale-version wire negotiation regression (a typed
 //! error frame, never a panic or hang) and the stalled-server client
 //! timeout regression (accept-then-silent listeners used to hang
 //! `NetClient::call` forever).
@@ -341,11 +341,11 @@ fn admission_shed_is_typed_and_counts() {
     drop(service);
 }
 
-/// Wire-version negotiation (satellite): a v2 frame against the v3 server
+/// Wire-version negotiation (satellite): a v3 frame against the v4 server
 /// is answered with a typed error frame naming the version — never a
 /// decode panic, a mis-parse, or a hang.
 #[test]
-fn v2_frame_yields_typed_version_error_not_a_hang() {
+fn v3_frame_yields_typed_version_error_not_a_hang() {
     let _guard = net_guard();
     let spec = WorkloadSpec {
         seed: 8_004,
@@ -357,16 +357,16 @@ fn v2_frame_yields_typed_version_error_not_a_hang() {
         .expect("start server");
 
     let mut conn = raw_conn(server.local_addr());
-    // A well-formed v3 frame rewritten to claim version 2: the version
-    // byte is outside the checksum, so this is exactly what a stale v2
-    // client would send.
+    // A well-formed v4 frame rewritten to claim version 3: the version
+    // byte is outside the checksum, so this is what a stale v3 client's
+    // header looks like.
     let mut bytes = Frame::new(
         FrameType::Request,
         encode_request(&request(&spec, &pool, 0)),
     )
     .encode();
-    assert_eq!(bytes[4], 3, "this build speaks wire v3");
-    bytes[4] = 2;
+    assert_eq!(bytes[4], 4, "this build speaks wire v4");
+    bytes[4] = 3;
     use std::io::Write as _;
     conn.write_all(&bytes).unwrap();
     conn.flush().unwrap();
@@ -377,7 +377,7 @@ fn v2_frame_yields_typed_version_error_not_a_hang() {
     assert_eq!(id, 0, "version errors cannot echo an id they never decoded");
     match err {
         WireError::Invalid(msg) => assert!(
-            msg.contains("unsupported protocol version 2"),
+            msg.contains("unsupported protocol version 3"),
             "error must name the offending version: {msg}"
         ),
         other => panic!("expected Invalid, got {other:?}"),
@@ -497,10 +497,10 @@ fn deadline_call_on_healthy_server_is_full_precision() {
     drop(service);
 }
 
-/// The header-size constant is part of the v3 contract: the version bump
-/// changed payloads, not the frame header.
+/// The header-size constant is part of the v4 contract: the version bump
+/// changed the checksum, not the frame header's layout.
 #[test]
-fn v3_keeps_the_28_byte_header() {
+fn v4_keeps_the_28_byte_header() {
     assert_eq!(HEADER_LEN, 28);
-    assert_eq!(fepia::net::VERSION, 3);
+    assert_eq!(fepia::net::VERSION, 4);
 }
